@@ -124,6 +124,14 @@ def slot_count(instance: Instance, agent: int) -> int:
     return max(0, math.ceil(instance.m * alpha) - 1)
 
 
+def spare_slot_count(instance: Instance) -> int:
+    """Spare slots per agent in the extended goods graph: ``m + n - sum(ceil(m*alpha_i))``."""
+    m = instance.m
+    return m + instance.n - sum(
+        math.ceil(m * instance.entitlement(i)) for i in range(instance.n)
+    )
+
+
 def slot_threshold(instance: Instance, agent: int, position: int) -> int:
     """Rank bound of a slot: ceil((l-1)/alpha) for chores, floor(l/alpha)+1 for goods.
 
@@ -219,9 +227,7 @@ def extend_allocation_graph(graph: AllocationGraph, instance: Instance) -> Alloc
             dummy_count=q,
         )
     else:
-        q = m + instance.n - sum(
-            math.ceil(m * instance.entitlement(i)) for i in range(instance.n)
-        )
+        q = spare_slot_count(instance)
         if q < 0:
             raise GraphInternalError("goods graph has more slots than goods")
         total_slots = graph.left_count + instance.n * q

@@ -180,11 +180,12 @@ def validate_instance(
     """Validate raw instance data and return an :class:`Instance`.
 
     Raises :class:`InstanceError` with one of the codes ``EmptyAgentList``,
-    ``ZeroEntitlement``, ``EntitlementSumNotOne``, ``DuplicateItemInRanking``,
-    ``MissingItemInRanking``.  Entitlements must sum to exactly 1; they are
-    never renormalized, and a zero entitlement is rejected rather than the
-    agent being silently dropped, so that the caller's agent indices stay
-    stable.
+    ``DuplicateAgentName``, ``ZeroEntitlement``, ``EntitlementSumNotOne``,
+    ``DuplicateItemInRanking``, ``MissingItemInRanking``.  Agent names must
+    be unique, since allocation and lottery files key bundles by name.
+    Entitlements must sum to exactly 1; they are never renormalized, and a
+    zero entitlement is rejected rather than the agent being silently
+    dropped, so that the caller's agent indices stay stable.
     """
     if kind not in _KINDS:
         raise FormatError(f"kind must be one of {_KINDS}, got {kind!r}")
@@ -196,7 +197,11 @@ def validate_instance(
 
     item_set = set(items)
     validated = []
+    names = set()
     for name, entitlement, ranking in agents:
+        if name in names:
+            raise InstanceError("DuplicateAgentName", f"agent name {name!r} is used twice")
+        names.add(name)
         entitlement = Fraction(entitlement)
         if entitlement <= 0:
             raise InstanceError(

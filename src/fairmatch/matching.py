@@ -12,8 +12,9 @@ This module bundles every matching primitive the library needs:
 * Birkhoff-von Neumann decomposition of exact doubly stochastic matrices.
 
 No floating point anywhere: assignment costs are integers after clearing
-denominators, and the decomposition subtracts exact rationals until the
-matrix is identically zero.
+denominators, and the decomposition scales the matrix once by the least
+common multiple of its denominators and subtracts integers, not
+rationals, until the matrix is identically zero.
 """
 
 from __future__ import annotations
@@ -501,32 +502,51 @@ def bvn_decompose(
     condition while the matrix stays doubly stochastic), peels off the
     minimum entry along it, and repeats; at least one entry is zeroed per
     round, so the part count is at most ``p*p - p + 2``.
+
+    The matrix is scaled once by the least common multiple of its
+    denominators, and each row is kept as a ``{column: int}`` map of its
+    positive entries, so a round costs time in the size of the support.
     """
     p = len(matrix)
-    work = [[Fraction(x) for x in row] for row in matrix]
-    for row in work:
+    rows: list[dict[int, Fraction]] = []
+    for row in matrix:
         if len(row) != p:
             raise NotDoublyStochastic("matrix is not square")
-        if any(x < 0 for x in row):
-            raise NotDoublyStochastic("matrix has a negative entry")
-        if sum(row) != 1:
+        entries = {}
+        for j, x in enumerate(row):
+            if x:
+                x = Fraction(x)
+                if x.numerator < 0:
+                    raise NotDoublyStochastic("matrix has a negative entry")
+                entries[j] = x
+        rows.append(entries)
+    denom = math.lcm(*(x.denominator for row in rows for x in row.values()))
+    # built in ascending column order and only ever shrunk, so the keys of
+    # every row stay sorted, as a graph's adjacency must be
+    work = [
+        {j: x.numerator * (denom // x.denominator) for j, x in row.items()}
+        for row in rows
+    ]
+    column_sums = [0] * p
+    for row in work:
+        if sum(row.values()) != denom:
             raise NotDoublyStochastic("a row does not sum to 1")
-    for j in range(p):
-        if sum(work[i][j] for i in range(p)) != 1:
-            raise NotDoublyStochastic("a column does not sum to 1")
+        for j, x in row.items():
+            column_sums[j] += x
+    if any(total != denom for total in column_sums):
+        raise NotDoublyStochastic("a column does not sum to 1")
 
-    parts: list[tuple[Fraction, tuple[int, ...]]] = []
-    remaining = Fraction(1)
+    labels = tuple(str(i) for i in range(p))
+    bound = p * p - p + 2
+    parts: list[tuple[int, tuple[int, ...]]] = []
+    remaining = denom
     while remaining > 0:
+        adjacency = tuple(tuple(row) for row in work)
         support = BipartiteGraph(
-            left_labels=tuple(str(i) for i in range(p)),
-            right_labels=tuple(str(j) for j in range(p)),
-            adjacency=tuple(
-                tuple(j for j in range(p) if work[i][j] > 0) for i in range(p)
-            ),
-            ranks=tuple(
-                tuple(1 for j in range(p) if work[i][j] > 0) for i in range(p)
-            ),
+            left_labels=labels,
+            right_labels=labels,
+            adjacency=adjacency,
+            ranks=tuple((1,) * len(adj) for adj in adjacency),
         )
         match = max_matching(support)
         if len(match) != p:
@@ -536,13 +556,21 @@ def bvn_decompose(
         left = match.left_map()
         perm = tuple(left[i] for i in range(p))
         weight = min(work[i][perm[i]] for i in range(p))
-        for i in range(p):
-            work[i][perm[i]] -= weight
+        for i, j in enumerate(perm):
+            rest = work[i][j] - weight
+            if rest:
+                work[i][j] = rest
+            else:
+                del work[i][j]
         parts.append((weight, perm))
+        if len(parts) > bound:
+            raise MatchingInternalError(
+                f"decomposition exceeded {bound} parts for p = {p}"
+            )
         remaining -= weight
-    if any(x != 0 for row in work for x in row):
+    if any(work):
         raise MatchingInternalError("decomposition left a nonzero residual")
-    return parts
+    return [(Fraction(weight, denom), perm) for weight, perm in parts]
 
 
 # ---------------------------------------------------------------------------
@@ -657,11 +685,13 @@ def perfect_allocation(instance: Instance) -> IntegralAllocation:
     Chores: a matching saturating every chore always exists; its slot
     owners define a complete allocation.  Goods: a matching saturating
     every slot always exists and yields a partial allocation, which is then
-    completed by handing each leftover good to a spare slot (leftover goods
-    in item order, spare slots in slot order); any completion of a fair
-    partial allocation stays fair.
+    completed by handing each leftover good to a spare slot of the extended
+    graph (leftover goods in item order, spare slots in slot order, which
+    is agent-major: agent 0 takes the first ``q`` leftovers, agent 1 the
+    next ``q``, and so on); any completion of a fair partial allocation
+    stays fair.
     """
-    from .allocgraph import build_allocation_graph, extend_allocation_graph
+    from .allocgraph import build_allocation_graph, spare_slot_count
 
     graph = build_allocation_graph(instance)
     match = max_matching(graph)
@@ -679,14 +709,11 @@ def perfect_allocation(instance: Instance) -> IntegralAllocation:
     matched_items = {j for _, j in match.pairs}
     leftovers = [j for j in range(instance.m) if j not in matched_items]
     if leftovers:
-        extended = extend_allocation_graph(graph, instance)
-        spare_slots = [
-            idx for idx, slot in enumerate(extended.slots) if slot.spare
-        ]
-        if len(leftovers) > len(spare_slots):
+        q = spare_slot_count(instance)
+        if len(leftovers) > instance.n * q:
             raise MatchingInternalError("not enough spare slots to complete")
         bundles = [set(b) for b in allocation.bundles]
-        for j, slot_idx in zip(leftovers, spare_slots):
-            bundles[extended.slots[slot_idx].agent].add(instance.items[j])
+        for k, j in enumerate(leftovers):
+            bundles[k // q].add(instance.items[j])
         allocation = IntegralAllocation(bundles=tuple(frozenset(b) for b in bundles))
     return allocation

@@ -253,6 +253,27 @@ def test_criterion_07_uniform_lottery_guarantees():
     report(f"07 uniform lottery: PASS (400 instances in {elapsed:.1f}s)")
 
 
+def test_criterion_07b_uniform_lottery_at_scale():
+    # at 20x100 the extended goods graph has p = 442 and the lottery about
+    # a hundred parts; the whole call must stay well under 10 s
+    inst = generate_instance(20, 100, "goods", 43)
+    graph = extend_allocation_graph(build_allocation_graph(inst), inst)
+    p = graph.left_count
+    start = time.monotonic()
+    lottery = uniform_lottery(inst)
+    elapsed = time.monotonic() - start
+    assert elapsed < 10, f"uniform_lottery goods 20x100 took {elapsed:.2f}s"
+    assert sum(w for w, _ in lottery.entries) == 1
+    assert len(lottery.entries) <= p * p - p + 2
+    mix = lottery.mixture(inst)
+    for i in range(inst.n):
+        assert all(share == inst.entitlement(i) for share in mix.shares[i])
+    report(
+        f"07b uniform lottery at scale: PASS (goods 20x100, "
+        f"{len(lottery.entries)} parts in {elapsed:.2f}s)"
+    )
+
+
 def test_criterion_08_optimization_matches_brute_force():
     rng = random.Random(505)
     for trial in range(100):

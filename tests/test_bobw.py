@@ -1,6 +1,8 @@
 """Tests for the fractional matching construction and the uniform lottery."""
 
+import json
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -156,6 +158,16 @@ def test_lottery_properties_random_instances():
             for _, allocation in lottery.entries:
                 assert check_allocation(inst, allocation).passes
                 assert sum(len(b) for b in allocation.bundles) == inst.m
+
+
+def test_lottery_output_is_pinned():
+    # the full lottery_to_json of one fixed instance, recorded before the
+    # decomposition moved to scaled integers: the parts, their order and
+    # their probabilities must not change
+    inst = generate_instance(4, 12, "goods", 7)
+    pinned = Path(__file__).parent / "data" / "lottery_goods_4x12_seed7.json"
+    got = lottery_to_json(inst, uniform_lottery(inst))
+    assert got == json.loads(pinned.read_text())
 
 
 # ---------------------------------------------------------------------------

@@ -207,6 +207,34 @@ def test_input_errors_exit_two(tmp_path, capsys):
     assert code == 2
 
 
+def test_duplicate_agent_names_exit_two(tmp_path, capsys):
+    path = tmp_path / "twins.json"
+    path.write_text(
+        json.dumps(
+            {
+                "kind": "goods",
+                "items": ["b1", "b2"],
+                "agents": [
+                    {"name": "a", "entitlement": "1/2", "ranking": ["b1", "b2"]},
+                    {"name": "a", "entitlement": "1/2", "ranking": ["b2", "b1"]},
+                ],
+            }
+        )
+    )
+    code, out, err = run(capsys, "solve", str(path))
+    assert code == 2 and out == ""
+    assert "'a'" in err
+
+
+def test_non_utf8_instance_exits_two(tmp_path, capsys):
+    path = tmp_path / "utf16.json"
+    path.write_bytes(b"\xff\xfe{")
+    code, out, err = run(capsys, "solve", str(path))
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and "UTF-8" in err
+    assert err.count("\n") == 1
+
+
 def test_console_entry_point_runs():
     proc = subprocess.run(
         [sys.executable, "-m", "fairmatch.cli", "gen", "--agents", "2",

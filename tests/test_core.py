@@ -81,6 +81,16 @@ def test_ranking_errors():
     assert err.value.code == "MissingItemInRanking"
 
 
+def test_duplicate_agent_name():
+    with pytest.raises(InstanceError) as err:
+        make(
+            "goods",
+            ["b1"],
+            [("a", Fraction(1, 2), ["b1"]), ("a", Fraction(1, 2), ["b1"])],
+        )
+    assert err.value.code == "DuplicateAgentName"
+
+
 def test_empty_agent_list():
     with pytest.raises(InstanceError) as err:
         make("chores", ["b1"], [])

@@ -7,6 +7,7 @@ from fractions import Fraction
 import pytest
 
 from fairmatch.allocgraph import (
+    BipartiteGraph,
     build_allocation_graph,
     extend_allocation_graph,
     ranked_graph,
@@ -460,6 +461,39 @@ def test_bvn_random_exact_reconstruction():
                 assert (i, j) in support
                 rebuilt[i][j] += w
         assert rebuilt == matrix
+
+
+def dense_rational_bvn(matrix):
+    """The decomposition on a dense matrix of rationals, one support graph
+    per round: the reference the scaled sparse version must reproduce."""
+    p = len(matrix)
+    work = [[Fraction(x) for x in row] for row in matrix]
+    parts = []
+    while any(x for row in work for x in row):
+        support = BipartiteGraph(
+            left_labels=tuple(map(str, range(p))),
+            right_labels=tuple(map(str, range(p))),
+            adjacency=tuple(tuple(j for j in range(p) if work[i][j] > 0) for i in range(p)),
+            ranks=tuple(tuple(1 for j in range(p) if work[i][j] > 0) for i in range(p)),
+        )
+        left = max_matching(support).left_map()
+        perm = tuple(left[i] for i in range(p))
+        weight = min(work[i][perm[i]] for i in range(p))
+        for i in range(p):
+            work[i][perm[i]] -= weight
+        parts.append((weight, perm))
+    return parts
+
+
+def test_bvn_matches_dense_rational_reference():
+    from fairmatch.bobw import build_fractional_matching, fractional_matrix
+
+    for seed in range(12):
+        for kind in ("goods", "chores"):
+            inst = generate_instance(2 + seed % 4, 6 + seed, kind, seed)
+            graph = extend_allocation_graph(build_allocation_graph(inst), inst)
+            matrix = fractional_matrix(build_fractional_matching(inst, graph), graph)
+            assert bvn_decompose(matrix) == dense_rational_bvn(matrix)
 
 
 def test_bvn_rejects_bad_input():
