@@ -3,7 +3,9 @@
 Subcommands: ``gen``, ``graph``, ``solve``, ``optimize``, ``lottery``,
 ``verify``, ``oracle``.  All numeric output is exact rational text; every
 output is a deterministic function of the input files, flags and seed.
-Exit codes: 0 success, 1 verification failure, 2 input or usage error.
+Exit codes: 0 success, 1 verification failure, 2 input or usage error,
+3 internal error (an invariant the construction guarantees broke; one
+``error: internal:`` line on stderr).
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ import json
 import sys
 from pathlib import Path
 
-from . import bobw, fairness, matching, optimize
+from . import allocgraph, bobw, fairness, matching, optimize
 from .allocgraph import build_allocation_graph, extend_allocation_graph, graph_to_dot, graph_to_text
 from .core import (
     FormatError,
@@ -212,6 +214,18 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# Failures no input can cause: valid instances always have the matchings
+# and decompositions the solvers look for.
+INTERNAL_ERRORS = (
+    allocgraph.GraphInternalError,
+    matching.MatchingInternalError,
+    matching.NoPerfectMatching,
+    matching.NotRankMaximal,
+    matching.NotDoublyStochastic,
+    bobw.BobwInternalError,
+)
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
@@ -223,6 +237,9 @@ def main(argv: list[str] | None = None) -> int:
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except INTERNAL_ERRORS as exc:
+        print(f"error: internal: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

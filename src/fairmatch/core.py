@@ -378,5 +378,9 @@ def allocation_from_json(instance: Instance, data: object) -> IntegralAllocation
         unknown = [x for x in raw if x not in item_set]
         if unknown:
             raise FormatError(f"bundle of {agent.name!r} has unknown items: {unknown}")
-        bundles.append(frozenset(raw))
+        bundle = frozenset(raw)
+        if len(bundle) != len(raw):
+            repeated = sorted({x for x in raw if raw.count(x) > 1})
+            raise FormatError(f"bundle of {agent.name!r} repeats items: {repeated}")
+        bundles.append(bundle)
     return IntegralAllocation(bundles=tuple(bundles))

@@ -3,15 +3,16 @@
 This module bundles every matching primitive the library needs:
 
 * maximum-cardinality bipartite matching (scipy's Hopcroft-Karp backend);
-* an exact minimum-cost assignment solver over any linearly ordered
-  abelian cost group, instantiated twice: scaled big integers for rational
-  costs, and per-rank count vectors compared lexicographically (stored as
-  int64 arrays so the inner loops vectorize) for rank-maximal matching;
+* one exact minimum-cost matching kernel: successive shortest paths with
+  Dijkstra over the sparse adjacency lists and integer potentials.  It
+  serves both exact assignment (rational costs scaled once to integers,
+  lexicographic cost vectors read as digits of one integer) and
+  rank-maximal matching (an edge of rank ``r`` weighs ``B**(w - r)``);
 * rank-maximal perfect matchings, signatures, slot-order normalization;
 * picking-sequence extraction from a rank-maximal matching;
 * Birkhoff-von Neumann decomposition of exact doubly stochastic matrices.
 
-No floating point anywhere: assignment costs are integers after clearing
+No floating point anywhere: matching costs are integers after clearing
 denominators, and the decomposition scales the matrix once by the least
 common multiple of its denominators and subtracts integers, not
 rationals, until the matrix is identically zero.
@@ -19,6 +20,7 @@ rationals, until the matrix is identically zero.
 
 from __future__ import annotations
 
+import heapq
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -142,139 +144,98 @@ def signature(matching: Matching, graph: BipartiteGraph) -> tuple[int, ...]:
 
 
 # ---------------------------------------------------------------------------
-# Exact assignment (minimum-cost perfect matching on a balanced graph)
-#
-# Both kernels implement the same O(p^3) successive-shortest-path scheme
-# with dual potentials; they only differ in the cost arithmetic.  The
-# algorithm uses nothing beyond +, -, < and a zero element, so it is exact
-# over integers and over lexicographically ordered count vectors alike.
+# Exact minimum-cost matching: the one kernel behind assignment and
+# rank-maximal matching
 # ---------------------------------------------------------------------------
 
-def _hungarian_scalar(cost: list[list[object]]) -> list[int]:
-    """Min-cost perfect matching for a square matrix of ints (None = no edge).
-
-    Returns ``row_of_col``: for each column, the matched row (0-based).
-    """
-    p = len(cost)
-    u = [0] * (p + 1)
-    v = [0] * (p + 1)
-    match_col = [0] * (p + 1)  # column -> matched row, 1-based; 0 = free
-    way = [0] * (p + 1)
-    for i in range(1, p + 1):
-        match_col[0] = i
-        j0 = 0
-        minv: list[object] = [None] * (p + 1)
-        used = [False] * (p + 1)
-        while True:
-            used[j0] = True
-            i0 = match_col[j0]
-            row = cost[i0 - 1]
-            delta = None
-            j1 = -1
-            for j in range(1, p + 1):
-                if used[j]:
-                    continue
-                c = row[j - 1]
-                if c is not None:
-                    cur = c - u[i0] - v[j]
-                    if minv[j] is None or cur < minv[j]:
-                        minv[j] = cur
-                        way[j] = j0
-                if minv[j] is not None and (delta is None or minv[j] < delta):
-                    delta = minv[j]
-                    j1 = j
-            if delta is None:
-                raise NoPerfectMatching("graph admits no perfect matching")
-            for j in range(p + 1):
-                if used[j]:
-                    u[match_col[j]] += delta
-                    v[j] -= delta
-                elif minv[j] is not None:
-                    minv[j] -= delta
-            j0 = j1
-            if match_col[j0] == 0:
-                break
-        while j0:
-            j1 = way[j0]
-            match_col[j0] = match_col[j1]
-            j0 = j1
-    return [match_col[j] - 1 for j in range(1, p + 1)]
-
-
-def _lex_lt_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Row-wise lexicographic a < b for two (k, width) int arrays."""
-    d = a - b
-    nz = d != 0
-    any_nz = nz.any(axis=1)
-    first = nz.argmax(axis=1)
-    return any_nz & (d[np.arange(d.shape[0]), first] < 0)
-
-
-def _lex_argmin(matrix: np.ndarray, rows: np.ndarray) -> int:
-    """Index (into ``matrix``) of the lexicographically smallest row among ``rows``."""
-    cand = rows
-    for col in range(matrix.shape[1]):
-        vals = matrix[cand, col]
-        mn = vals.min()
-        cand = cand[vals == mn]
-        if cand.size == 1:
-            break
-    return int(cand[0])
-
-
-def _hungarian_lex(
-    row_cost: Callable[[int], np.ndarray],
-    row_finite: Callable[[int], np.ndarray],
-    p: int,
-    width: int,
+def _min_cost_matching(
+    adjacency: Sequence[Sequence[int]],
+    costs: Sequence[Sequence[int]],
+    right_count: int,
 ) -> list[int]:
-    """Lexicographic-cost variant of :func:`_hungarian_scalar`.
+    """Min-cost matching saturating every left vertex, over integer costs.
 
-    ``row_cost(i)`` yields the (p, width) int64 cost vectors of row ``i``;
-    ``row_finite(i)`` the (p,) mask of existing edges.  Returns
-    ``row_of_col`` like the scalar kernel.
+    Successive shortest paths: each left vertex, in index order, augments
+    along a shortest alternating path to a free right vertex.  Paths are
+    found by Dijkstra over the reduced costs ``c - u[i] - v[j]``, which
+    stay nonnegative under exact integer potentials (``u`` starts at the
+    row minimum, ``v`` at zero).  Heap entries are ``(distance, right)``,
+    so ties break by vertex index.  ``costs[i]`` is aligned with
+    ``adjacency[i]``.  Returns the right vertex matched to each left
+    vertex; raises :class:`NoPerfectMatching` when some left vertex cannot
+    be saturated.
     """
-    u = np.zeros((p + 1, width), dtype=np.int64)
-    v = np.zeros((p + 1, width), dtype=np.int64)
-    match_col = np.zeros(p + 1, dtype=np.int64)
-    way = np.zeros(p + 1, dtype=np.int64)
-    for i in range(1, p + 1):
-        match_col[0] = i
-        j0 = 0
-        minv = np.zeros((p + 1, width), dtype=np.int64)
-        minv_fin = np.zeros(p + 1, dtype=bool)
-        used = np.zeros(p + 1, dtype=bool)
+    u = [min(row, default=0) for row in costs]
+    v = [0] * right_count
+    # rows with equal edges and costs (the spare slots of one agent) relax
+    # alike: once one of them is expanded at offset ``d - u[i]``, another
+    # reached at an offset no smaller cannot shorten any path
+    first: dict[tuple, int] = {}
+    twin = [
+        first.setdefault((tuple(adj), tuple(row)), i)
+        for i, (adj, row) in enumerate(zip(adjacency, costs))
+    ]
+    owner = [-1] * right_count
+    mate = [-1] * len(adjacency)
+    for s in range(len(adjacency)):
+        dist: list[int | None] = [None] * right_count
+        via = [-1] * right_count
+        heap = []
+        us = u[s]
+        for j, c in zip(adjacency[s], costs[s]):
+            d = c - us - v[j]
+            dist[j] = d
+            via[j] = s
+            heap.append((d, j))
+        heapq.heapify(heap)
+        settled: list[int] = []
+        expanded = {twin[s]: -us}
         while True:
-            used[j0] = True
-            i0 = int(match_col[j0])
-            cur = row_cost(i0 - 1) - u[i0] - v[1:]
-            cand = row_finite(i0 - 1) & ~used[1:]
-            improve = cand & (~minv_fin[1:] | _lex_lt_rows(cur, minv[1:]))
-            hit = np.nonzero(improve)[0]
-            if hit.size:
-                minv[hit + 1] = cur[hit]
-                minv_fin[hit + 1] = True
-                way[hit + 1] = j0
-            legal = np.nonzero(minv_fin & ~used)[0]
-            if legal.size == 0:
+            if not heap:
                 raise NoPerfectMatching("graph admits no perfect matching")
-            j1 = _lex_argmin(minv, legal)
-            delta = minv[j1].copy()
-            used_cols = np.nonzero(used)[0]
-            u[match_col[used_cols]] += delta
-            v[used_cols] -= delta
-            open_cols = np.nonzero(minv_fin & ~used)[0]
-            minv[open_cols] -= delta
-            j0 = j1
-            if match_col[j0] == 0:
+            d, j = heapq.heappop(heap)
+            if d != dist[j]:
+                continue  # superseded by a shorter path
+            settled.append(j)
+            i = owner[j]
+            if i < 0:
                 break
-        while j0:
-            j1 = int(way[j0])
-            match_col[j0] = match_col[j1]
-            j0 = j1
-    if max(int(np.abs(u).max()), int(np.abs(v).max())) > 2**52:
-        raise MatchingInternalError("lex potentials grew past the safe integer range")
-    return [int(match_col[j]) - 1 for j in range(1, p + 1)]
+            off = d - u[i]
+            t = twin[i]
+            if t in expanded and expanded[t] <= off:
+                continue
+            expanded[t] = off
+            # a settled vertex never improves (reduced costs are
+            # nonnegative), so it needs no separate check here
+            for k, c in zip(adjacency[i], costs[i]):
+                nd = off + c - v[k]
+                old = dist[k]
+                if old is None or nd < old:
+                    dist[k] = nd
+                    via[k] = i
+                    heapq.heappush(heap, (nd, k))
+        # shift the potentials so the reduced costs stay nonnegative and
+        # every edge of the path just found becomes tight
+        for k in settled:
+            delta = d - dist[k]
+            if delta:
+                v[k] -= delta
+                u[owner[k]] += delta
+        u[s] += d
+        while True:
+            i = via[j]
+            owner[j] = i
+            mate[i], j = j, mate[i]
+            if i == s:
+                break
+    return mate
+
+
+def _lex_to_int(counts: Sequence[int], base: int) -> int:
+    value = 0
+    for c in counts:
+        value = value * base + c
+    return value
 
 
 def assignment_min_cost(
@@ -285,9 +246,11 @@ def assignment_min_cost(
     """Perfect matching minimizing the total edge cost, exactly.
 
     ``cost`` must be defined on every edge of the (balanced) graph and
-    return either exact rationals/integers or :class:`LexCost` vectors of a
-    common width.  Rational costs are scaled to integers by clearing
-    denominators; lex costs run on the vectorized kernel.  Ties break
+    return either exact integers/rationals or :class:`LexCost` vectors of
+    a common width.  Integers are used as they are; rationals are scaled
+    once by the least common multiple of their denominators; lex vectors
+    are read as digits of one integer in a base wider than any difference
+    of two matching totals, which keeps their order.  Ties break
     deterministically by vertex order.
     """
     p = graph.left_count
@@ -297,38 +260,23 @@ def assignment_min_cost(
         )
     if p == 0:
         return Matching(pairs=())
-    values: dict[tuple[int, int], object] = {}
-    for i in range(p):
-        for j in graph.adjacency[i]:
-            values[(i, j)] = cost(i, j)
+    rows = [[cost(i, j) for j in graph.adjacency[i]] for i in range(p)]
+    values = [c for row in rows for c in row]
     if not values:
         raise NoPerfectMatching("graph has no edges")
-    sample = next(iter(values.values()))
-    if isinstance(sample, LexCost):
-        width = len(sample.counts)
-        tensor = np.zeros((p, p, width), dtype=np.int64)
-        finite = np.zeros((p, p), dtype=bool)
-        sign = -1 if maximize else 1
-        for (i, j), val in values.items():
-            if not isinstance(val, LexCost) or len(val.counts) != width:
-                raise ValueError("all LexCost values must share one width")
-            tensor[i, j] = np.asarray(val.counts, dtype=np.int64) * sign
-            finite[i, j] = True
-        row_of_col = _hungarian_lex(
-            lambda i: tensor[i], lambda i: finite[i], p, width
-        )
-    else:
-        denom = math.lcm(
-            *(Fraction(val).denominator for val in values.values())
-        )
-        sign = -1 if maximize else 1
-        matrix: list[list[object]] = [[None] * p for _ in range(p)]
-        for (i, j), val in values.items():
-            scaled = Fraction(val) * denom * sign
-            matrix[i][j] = scaled.numerator
-        row_of_col = _hungarian_scalar(matrix)
-    pairs = sorted((row, col) for col, row in enumerate(row_of_col))
-    return Matching(pairs=tuple(pairs))
+    if isinstance(values[0], LexCost):
+        width = len(values[0].counts)
+        if any(not isinstance(c, LexCost) or len(c.counts) != width for c in values):
+            raise ValueError("all LexCost values must share one width")
+        base = 2 * p * max((abs(x) for c in values for x in c.counts), default=0) + 1
+        rows = [[_lex_to_int(c.counts, base) for c in row] for row in rows]
+    elif not all(isinstance(c, int) for c in values):
+        denom = math.lcm(*(Fraction(c).denominator for c in values))
+        rows = [[int(Fraction(c) * denom) for c in row] for row in rows]
+    if maximize:
+        rows = [[-c for c in row] for row in rows]
+    mate = _min_cost_matching(graph.adjacency, rows, p)
+    return Matching(pairs=tuple(enumerate(mate)))
 
 
 # ---------------------------------------------------------------------------
@@ -336,60 +284,40 @@ def assignment_min_cost(
 # ---------------------------------------------------------------------------
 
 def rank_maximal_perfect_matching(graph: BipartiteGraph) -> Matching:
-    """Perfect matching with the lexicographically greatest signature.
+    """Matching saturating the left side with the greatest signature.
 
-    Implemented as exact assignment with the per-edge cost ``ones minus the
-    unit vector at the edge's rank``: minimizing that total lexicographically
-    maximizes the count of rank-1 edges, then rank-2, and so on.  An
-    unbalanced graph with fewer left than right vertices is padded with
-    virtual left vertices adjacent to everything at one rank beyond the
-    worst, so the result saturates the left side (every perfect matching
-    carries the same constant count at the padding rank).
+    Reduced to minimum-cost matching (Michail, "Reducing rank-maximal to
+    maximum weight matching", TCS 2007): an edge of rank ``r`` costs
+    ``-B**(w - r)`` with ``B = left + 1`` and ``w`` the largest rank.  No
+    rank count exceeds ``left``, so the total is the signature read as
+    base-``B`` digits and the cheapest matching is rank-maximal.  With
+    fewer left than right vertices the left side is saturated without
+    padding.
 
     On an extended allocation graph every dummy item is matched in every
     perfect matching, each contributing one edge at its own rank, so the
-    dummy tail of the signature is constant; dummy edges therefore get a
-    constant cost and the vectors only need the real ranks, which keeps
-    them short.
+    dummy tail of the signature is constant; dummy edges therefore cost
+    zero and ``w`` only ranges over the real ranks, which keeps the costs
+    short.
     """
     left, right = graph.left_count, graph.right_count
     if left > right:
         raise NoPerfectMatching("left side larger than right side")
-    flat_items = None
+    real = right
     if isinstance(graph, AllocationGraph) and graph.extended:
-        flat_items = graph.real_item_count
-    width = 0
-    for i in range(left):
-        for j, r in zip(graph.adjacency[i], graph.ranks[i]):
-            if flat_items is None or j < flat_items:
-                width = max(width, r)
-    pad = right - left
-    pad_rank = width + 1 if pad else max(width, 1)
-    if right == 0:
-        return Matching(pairs=())
-
-    ranks = np.zeros((right, right), dtype=np.int64)
-    finite = np.zeros((right, right), dtype=bool)
-    for i in range(left):
-        cols = np.asarray(graph.adjacency[i], dtype=np.int64)
-        if cols.size:
-            ranks[i, cols] = np.asarray(graph.ranks[i], dtype=np.int64)
-            finite[i, cols] = True
-    if flat_items is not None:
-        ranks[:, flat_items:] = 0  # constant-cost edges, no rank column
-    if pad:
-        ranks[left:, :] = pad_rank
-        finite[left:, :] = True
-
-    def row_cost(i: int) -> np.ndarray:
-        out = np.ones((right, pad_rank), dtype=np.int64)
-        rows = np.nonzero(finite[i] & (ranks[i] > 0))[0]
-        out[rows, ranks[i, rows] - 1] = 0
-        return out
-
-    row_of_col = _hungarian_lex(row_cost, lambda i: finite[i], right, pad_rank)
-    pairs = sorted((row, col) for col, row in enumerate(row_of_col) if row < left)
-    return Matching(pairs=tuple(pairs))
+        real = graph.real_item_count
+    width = max(
+        (r for adj, ranks in zip(graph.adjacency, graph.ranks)
+         for j, r in zip(adj, ranks) if j < real),
+        default=0,
+    )
+    weight = [-((left + 1) ** (width - r)) for r in range(width + 1)]
+    costs = [
+        [weight[r] if j < real else 0 for j, r in zip(adj, ranks)]
+        for adj, ranks in zip(graph.adjacency, graph.ranks)
+    ]
+    mate = _min_cost_matching(graph.adjacency, costs, right)
+    return Matching(pairs=tuple(enumerate(mate)))
 
 
 # ---------------------------------------------------------------------------

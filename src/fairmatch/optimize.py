@@ -10,6 +10,7 @@ since a good matched to a spare slot still ends up with that agent.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping
@@ -57,14 +58,17 @@ def optimize_allocation(
     if missing:
         raise IncompleteCostSpec(f"missing cost entries: {missing[:5]}")
 
+    # one common denominator for the whole table, so the kernel sees ints
+    exact = [[spec.values[(i, item)] for item in instance.items] for i in range(instance.n)]
+    denom = math.lcm(*(x.denominator for row in exact for x in row))
+    table = [[x.numerator * (denom // x.denominator) for x in row] for row in exact]
     graph = extend_allocation_graph(build_allocation_graph(instance), instance)
-    zero = Fraction(0)
+    slots, m = graph.slots, instance.m
 
-    def edge_cost(slot_idx: int, item_idx: int) -> Fraction:
-        if graph.is_dummy_item(item_idx):
-            return zero
-        agent = graph.slots[slot_idx].agent
-        return Fraction(spec.values[(agent, graph.right_labels[item_idx])])
+    def edge_cost(slot_idx: int, item_idx: int) -> int:
+        if item_idx >= m:
+            return 0  # dummy item
+        return table[slots[slot_idx].agent][item_idx]
 
     match = assignment_min_cost(graph, edge_cost, maximize=spec.direction == MAXIMIZE)
     allocation = allocation_from_matching(match, graph, instance)

@@ -37,6 +37,7 @@ from fairmatch.matching import (
     perfect_allocation,
     rank_maximal_perfect_matching,
     signature,
+    solve_with_sequence,
 )
 from fairmatch.optimize import MAXIMIZE, MINIMIZE, CostSpec, optimize_allocation
 
@@ -195,6 +196,24 @@ def test_criterion_05_sequencibility_round_trip():
             replay = simulate_picking_sequence(inst, sequence.sequence)
             assert replay.bundles == expected.bundles, (kind, trial)
     report("05 sequencibility round trip: PASS (1000 instances)")
+
+
+def test_criterion_05b_sequence_at_scale():
+    # at 40x200 the rank-maximal matching runs on p = 224 (chores); the
+    # whole solve_with_sequence call must stay well under 5 s per kind
+    for kind in ("chores", "goods"):
+        inst = generate_instance(40, 200, kind, 43)
+        start = time.monotonic()
+        allocation, sequence = solve_with_sequence(inst)
+        elapsed = time.monotonic() - start
+        assert elapsed < 5, f"solve_with_sequence {kind} 40x200 took {elapsed:.2f}s"
+        replay = simulate_picking_sequence(inst, sequence.sequence)
+        assert replay.bundles == allocation.bundles, kind
+        assert check_allocation(inst, allocation).passes, kind
+        report(
+            f"05b sequence at scale: PASS ({kind} 40x200, "
+            f"{len(sequence.sequence)} picks in {elapsed:.2f}s)"
+        )
 
 
 def test_criterion_06_rank_maximality_brute_force():

@@ -235,6 +235,29 @@ def test_non_utf8_instance_exits_two(tmp_path, capsys):
     assert err.count("\n") == 1
 
 
+def test_repeated_item_in_bundle_exits_two(tmp_path, capsys):
+    _, inst_path = write_identical_chores(tmp_path)
+    alloc_path = tmp_path / "alloc.json"
+    alloc_path.write_text(json.dumps({"a1": ["b1", "b2", "b1"], "a2": ["b3"]}))
+    code, out, err = run(capsys, "verify", str(inst_path), str(alloc_path))
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and "'b1'" in err
+
+
+def test_internal_error_exits_three(tmp_path, capsys, monkeypatch):
+    from fairmatch import matching
+
+    def broken(*args, **kwargs):
+        raise matching.NoPerfectMatching("graph admits no perfect matching")
+
+    monkeypatch.setattr(matching, "_min_cost_matching", broken)
+    _, path = write_identical_chores(tmp_path)
+    code, out, err = run(capsys, "solve", "--seq", str(path))
+    assert code == 3 and out == ""
+    assert err.startswith("error: internal:") and "NoPerfectMatching" in err
+    assert err.count("\n") == 1
+
+
 def test_console_entry_point_runs():
     proc = subprocess.run(
         [sys.executable, "-m", "fairmatch.cli", "gen", "--agents", "2",

@@ -4,6 +4,7 @@ import itertools
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from fairmatch.allocgraph import (
@@ -310,6 +311,218 @@ def test_rank_maximal_unbalanced_saturates_left():
         graph = random_ranked_graph(rng, left, right, density=1.0, max_rank=right)
         match = rank_maximal_perfect_matching(graph)
         assert len(match) == left
+
+
+def random_cost_graph(rng, left, right, density):
+    """A ranked graph whose every left vertex has an edge, plus integer costs."""
+    edges = {}
+    for i in range(left):
+        row = [j for j in range(right) if rng.random() < density]
+        for j in row or [rng.randrange(right)]:
+            edges[(i, j)] = rng.randint(1, right)
+    graph = ranked_graph(
+        [f"l{i}" for i in range(left)], [f"r{j}" for j in range(right)], edges
+    )
+    costs = {edge: rng.randint(-1000, 1000) for edge in edges}
+    return graph, costs
+
+
+def networkx_best(graph, weight):
+    """Size and weight of networkx's maximum-weight maximum-cardinality matching."""
+    nx = pytest.importorskip("networkx")
+    g = nx.Graph()
+    g.add_nodes_from(("l", i) for i in range(graph.left_count))
+    g.add_nodes_from(("r", j) for j in range(graph.right_count))
+    for i, row in enumerate(graph.adjacency):
+        for j in row:
+            g.add_edge(("l", i), ("r", j), weight=weight(i, j))
+    found = nx.max_weight_matching(g, maxcardinality=True)
+    total = sum(g.edges[a, b]["weight"] for a, b in found)
+    return len(found), total
+
+
+def test_assignment_agrees_with_networkx_beyond_brute_force():
+    rng = random.Random(17)
+    solved = 0
+    for trial in range(24):
+        p = rng.randint(10, 40)
+        graph, costs = random_cost_graph(rng, p, p, rng.uniform(0.05, 0.3))
+        # a large offset keeps networkx's weights positive without changing
+        # which perfect matching is best
+        size, total = networkx_best(graph, lambda i, j: 10**4 - costs[(i, j)])
+        if size < p:
+            with pytest.raises(NoPerfectMatching):
+                assignment_min_cost(graph, lambda i, j: costs[(i, j)])
+            continue
+        solved += 1
+        match = assignment_min_cost(graph, lambda i, j: costs[(i, j)])
+        assert len(match) == p, trial
+        assert sum(costs[pair] for pair in match.pairs) == p * 10**4 - total, trial
+        high = assignment_min_cost(graph, lambda i, j: costs[(i, j)], maximize=True)
+        _, top = networkx_best(graph, lambda i, j: 10**4 + costs[(i, j)])
+        assert sum(costs[pair] for pair in high.pairs) == top - p * 10**4, trial
+    assert solved >= 8
+
+
+def test_assignment_with_repeated_rows_agrees_with_networkx():
+    # rows with equal edges and costs, like the spare slots of one agent,
+    # let the kernel skip a row whose twin it already relaxed from an
+    # offset no larger
+    rng = random.Random(29)
+    solved = 0
+    for trial in range(24):
+        p = rng.randint(10, 40)
+        rows = []
+        while len(rows) < p:
+            row = sorted(rng.sample(range(p), rng.randint(p // 2, p)))
+            cost = [rng.randint(-50, 50) for _ in row]
+            for _ in range(min(rng.randint(1, 6), p - len(rows))):
+                rows.append((row, cost))
+        rng.shuffle(rows)
+        edges = {(i, j): 1 for i, (row, _) in enumerate(rows) for j in row}
+        costs = {(i, j): c for i, (row, cost) in enumerate(rows) for j, c in zip(row, cost)}
+        graph = ranked_graph([f"l{i}" for i in range(p)], [f"r{j}" for j in range(p)], edges)
+        size, total = networkx_best(graph, lambda i, j: 10**4 - costs[(i, j)])
+        if size < p:
+            with pytest.raises(NoPerfectMatching):
+                assignment_min_cost(graph, lambda i, j: costs[(i, j)])
+            continue
+        solved += 1
+        match = assignment_min_cost(graph, lambda i, j: costs[(i, j)])
+        assert sum(costs[pair] for pair in match.pairs) == p * 10**4 - total, trial
+    assert solved >= 8
+
+
+def test_rank_maximal_agrees_with_networkx_beyond_brute_force():
+    # networkx maximizes the rank counts read as base-(left + 1) digits
+    rng = random.Random(23)
+    solved = 0
+    for trial in range(24):
+        left = rng.randint(10, 30)
+        right = left + rng.choice((0, 0, rng.randint(1, 10)))
+        graph, _ = random_cost_graph(rng, left, right, rng.uniform(0.05, 0.3))
+        width = graph.max_rank()
+        size, total = networkx_best(
+            graph, lambda i, j: (left + 1) ** (width - graph.rank_of(i, j))
+        )
+        if size < left:
+            with pytest.raises(NoPerfectMatching):
+                rank_maximal_perfect_matching(graph)
+            continue
+        solved += 1
+        match = rank_maximal_perfect_matching(graph)
+        assert len(match) == left, trial
+        digits = sum((left + 1) ** (width - graph.rank_of(i, j)) for i, j in match.pairs)
+        assert digits == total, trial
+    assert solved >= 8
+
+
+# The cubic lexicographic Hungarian method that rank-maximal matching ran
+# on before the integer kernel, kept as the reference its signatures must
+# reproduce.
+
+def _lex_lt_rows(a, b):
+    d = a - b
+    nz = d != 0
+    first = nz.argmax(axis=1)
+    return nz.any(axis=1) & (d[np.arange(d.shape[0]), first] < 0)
+
+
+def _lex_argmin(matrix, rows):
+    cand = rows
+    for col in range(matrix.shape[1]):
+        vals = matrix[cand, col]
+        cand = cand[vals == vals.min()]
+        if cand.size == 1:
+            break
+    return int(cand[0])
+
+
+def _hungarian_lex(row_cost, row_finite, p, width):
+    u = np.zeros((p + 1, width), dtype=np.int64)
+    v = np.zeros((p + 1, width), dtype=np.int64)
+    match_col = np.zeros(p + 1, dtype=np.int64)
+    way = np.zeros(p + 1, dtype=np.int64)
+    for i in range(1, p + 1):
+        match_col[0] = i
+        j0 = 0
+        minv = np.zeros((p + 1, width), dtype=np.int64)
+        minv_fin = np.zeros(p + 1, dtype=bool)
+        used = np.zeros(p + 1, dtype=bool)
+        while True:
+            used[j0] = True
+            i0 = int(match_col[j0])
+            cur = row_cost(i0 - 1) - u[i0] - v[1:]
+            cand = row_finite(i0 - 1) & ~used[1:]
+            hit = np.nonzero(cand & (~minv_fin[1:] | _lex_lt_rows(cur, minv[1:])))[0]
+            if hit.size:
+                minv[hit + 1] = cur[hit]
+                minv_fin[hit + 1] = True
+                way[hit + 1] = j0
+            legal = np.nonzero(minv_fin & ~used)[0]
+            if legal.size == 0:
+                raise NoPerfectMatching("graph admits no perfect matching")
+            j1 = _lex_argmin(minv, legal)
+            delta = minv[j1].copy()
+            used_cols = np.nonzero(used)[0]
+            u[match_col[used_cols]] += delta
+            v[used_cols] -= delta
+            minv[np.nonzero(minv_fin & ~used)[0]] -= delta
+            j0 = j1
+            if match_col[j0] == 0:
+                break
+        while j0:
+            j1 = int(way[j0])
+            match_col[j0] = match_col[j1]
+            j0 = j1
+    return [int(match_col[j]) - 1 for j in range(1, p + 1)]
+
+
+def dense_lex_rank_maximal(graph):
+    """Rank-maximal matching by the lexicographic Hungarian method on a
+    dense p x p x width tensor, the left side padded with virtual rows."""
+    left, right = graph.left_count, graph.right_count
+    flat = graph.real_item_count if getattr(graph, "extended", False) else right
+    width = max(
+        (r for i in range(left) for j, r in zip(graph.adjacency[i], graph.ranks[i]) if j < flat),
+        default=0,
+    )
+    pad = right - left
+    pad_rank = width + 1 if pad else max(width, 1)
+    ranks = np.zeros((right, right), dtype=np.int64)
+    finite = np.zeros((right, right), dtype=bool)
+    for i in range(left):
+        cols = np.asarray(graph.adjacency[i], dtype=np.int64)
+        if cols.size:
+            ranks[i, cols] = np.asarray(graph.ranks[i], dtype=np.int64)
+            finite[i, cols] = True
+    ranks[:, flat:] = 0
+    if pad:
+        ranks[left:, :] = pad_rank
+        finite[left:, :] = True
+
+    def row_cost(i):
+        out = np.ones((right, pad_rank), dtype=np.int64)
+        rows = np.nonzero(finite[i] & (ranks[i] > 0))[0]
+        out[rows, ranks[i, rows] - 1] = 0
+        return out
+
+    row_of_col = _hungarian_lex(row_cost, lambda i: finite[i], right, pad_rank)
+    return Matching(pairs=tuple(sorted(
+        (row, col) for col, row in enumerate(row_of_col) if row < left
+    )))
+
+
+def test_rank_maximal_matches_dense_lex_reference():
+    for kind in ("goods", "chores"):
+        for seed in range(10):
+            inst = generate_instance(12, 60, kind, seed)
+            graph = build_allocation_graph(inst)
+            if kind == "chores":
+                graph = extend_allocation_graph(graph, inst)
+            new = rank_maximal_perfect_matching(graph)
+            old = dense_lex_rank_maximal(graph)
+            assert signature(new, graph) == signature(old, graph), (kind, seed)
 
 
 # ---------------------------------------------------------------------------
