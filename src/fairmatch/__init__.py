@@ -33,7 +33,6 @@ from .core import (
     InstanceError,
     IntegralAllocation,
     IntervalSet,
-    Rational,
     StepValuation,
     generate_instance,
     interval_set,
@@ -52,7 +51,6 @@ from .fairness import (
     step_valuation_oracle,
 )
 from .matching import (
-    DoublyStochasticMatrix,
     LexCost,
     Matching,
     NoPerfectMatching,
@@ -81,7 +79,6 @@ __all__ = [
     "BundleReport",
     "CHORES",
     "CostSpec",
-    "DoublyStochasticMatrix",
     "FractionalAllocation",
     "FractionalMatching",
     "GOODS",
@@ -97,7 +94,6 @@ __all__ = [
     "NotDoublyStochastic",
     "NotRankMaximal",
     "PickingSequence",
-    "Rational",
     "Slot",
     "StepValuation",
     "assignment_min_cost",

@@ -25,8 +25,6 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Sequence
 
-Rational = Fraction
-
 GOODS = "goods"
 CHORES = "chores"
 _KINDS = (GOODS, CHORES)

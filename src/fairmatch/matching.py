@@ -2,7 +2,8 @@
 
 This module bundles every matching primitive the library needs:
 
-* maximum-cardinality bipartite matching (scipy's Hopcroft-Karp backend);
+* maximum-cardinality bipartite matching: Hopcroft-Karp over the adjacency
+  lists, in pure Python;
 * one exact minimum-cost matching kernel: successive shortest paths with
   Dijkstra over the sparse adjacency lists and integer potentials.  It
   serves both exact assignment (rational costs scaled once to integers,
@@ -25,10 +26,6 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Sequence
-
-import numpy as np
-from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import maximum_bipartite_matching
 
 from .allocgraph import AllocationGraph, BipartiteGraph
 from .core import Instance, IntegralAllocation
@@ -116,22 +113,72 @@ class LexCost:
 # ---------------------------------------------------------------------------
 
 def max_matching(graph: BipartiteGraph) -> Matching:
-    """Maximum-cardinality matching; deterministic for a fixed vertex order."""
-    left, right = graph.left_count, graph.right_count
-    nnz = sum(len(row) for row in graph.adjacency)
-    if left == 0 or right == 0 or nnz == 0:
-        return Matching(pairs=())
-    indptr = np.zeros(left + 1, dtype=np.int64)
-    for i, row in enumerate(graph.adjacency):
-        indptr[i + 1] = indptr[i] + len(row)
-    indices = np.fromiter(
-        (j for row in graph.adjacency for j in row), dtype=np.int64, count=nnz
-    )
-    data = np.ones(nnz, dtype=np.int8)
-    matrix = csr_matrix((data, indices, indptr), shape=(left, right))
-    row_match = maximum_bipartite_matching(matrix, perm_type="column")
-    pairs = tuple((i, int(j)) for i, j in enumerate(row_match) if j >= 0)
-    return Matching(pairs=pairs)
+    """Maximum-cardinality matching by Hopcroft-Karp; deterministic.
+
+    Each phase layers the left vertices by a BFS from the free ones, in
+    index order; ``up`` is the first layer whose scan reaches a free right
+    vertex.  Phases stop when no layer does or when one side is covered.
+    Then each free left vertex, in index order, runs a depth-first search
+    with a LIFO stack.  A popped vertex scans its neighbours in ascending
+    order: a free right vertex ends the search if the vertex sits one
+    layer short of ``up``; otherwise every matched row on the next layer
+    that this search has not visited is pushed.  A vertex whose scan finds
+    nothing leaves the layering for the rest of the phase.  The first
+    phase is the greedy pass.  Keep this order: the decomposition in
+    :func:`bvn_decompose`, and so every lottery, depends on which perfect
+    matching each round finds.
+    """
+    adjacency = graph.adjacency
+    left = graph.left_count
+    inf = left + 1
+    mate = [-1] * left  # right vertex matched to each left vertex
+    owner = [-1] * graph.right_count  # left vertex matched to each right one
+    size = 0
+    # a matching that covers one side is maximum: skip the last, empty phase
+    while size < min(left, graph.right_count):
+        free = [i for i in range(left) if mate[i] < 0]
+        dist = [inf] * left
+        for i in free:
+            dist[i] = 0
+        up = inf
+        queue = list(free)
+        for i in queue:  # appended to while read, so a FIFO queue
+            d = dist[i] + 1
+            if d >= up:
+                continue
+            for j in adjacency[i]:
+                k = owner[j]
+                if k < 0:
+                    up = d
+                elif dist[k] == inf:
+                    dist[k] = d
+                    queue.append(k)
+        if up == inf:
+            break
+        for s in free:
+            parent = {s: -1}  # also the vertices this search has visited
+            stack = [s]
+            while stack:
+                i = stack.pop()
+                d = dist[i] + 1
+                for j in adjacency[i]:
+                    k = owner[j]
+                    if k < 0:
+                        if d == up:
+                            break
+                    elif dist[k] == d and k not in parent:
+                        parent[k] = i
+                        stack.append(k)
+                else:
+                    dist[i] = inf
+                    continue
+                while i >= 0:  # augment back along the parent links
+                    mate[i], j = j, mate[i]
+                    owner[mate[i]] = i
+                    i = parent[i]
+                size += 1
+                break
+    return Matching(pairs=tuple((i, j) for i, j in enumerate(mate) if j >= 0))
 
 
 def signature(matching: Matching, graph: BipartiteGraph) -> tuple[int, ...]:
@@ -416,11 +463,8 @@ def extract_picking_sequence(matching: Matching, graph: BipartiteGraph) -> Picki
 # Birkhoff-von Neumann decomposition
 # ---------------------------------------------------------------------------
 
-DoublyStochasticMatrix = Sequence[Sequence[Fraction]]
-
-
 def bvn_decompose(
-    matrix: DoublyStochasticMatrix,
+    matrix: Sequence[Sequence[Fraction]],
 ) -> list[tuple[Fraction, tuple[int, ...]]]:
     """Decompose an exact doubly stochastic matrix into permutation matrices.
 

@@ -1,9 +1,11 @@
 """End-to-end tests for the command-line interface."""
 
 import json
+import os
 import subprocess
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 from fairmatch.bobw import lottery_from_json
 from fairmatch.cli import main
@@ -268,3 +270,21 @@ def test_console_entry_point_runs():
     assert proc.returncode == 0
     data = json.loads(proc.stdout)
     assert data["kind"] == "goods"
+
+
+def test_cli_import_pulls_in_neither_numpy_nor_scipy():
+    import fairmatch
+
+    src = str(Path(fairmatch.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import fairmatch.cli, sys; "
+         "print(sorted(m for m in ('numpy', 'scipy') if m in sys.modules))"],
+        capture_output=True,
+        text=True,
+        env=env,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"

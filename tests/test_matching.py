@@ -134,6 +134,92 @@ def test_max_matching_equals_brute_force():
         assert len(max_matching(graph)) == brute_force_max_matching_size(graph)
 
 
+def scipy_pairs(graph):
+    """The pairs scipy's Hopcroft-Karp finds: the matchings `max_matching`
+    must reproduce, since the pinned lottery depends on them."""
+    csgraph = pytest.importorskip("scipy.sparse.csgraph")
+    from scipy.sparse import csr_matrix
+
+    nnz = sum(len(row) for row in graph.adjacency)
+    if graph.left_count == 0 or graph.right_count == 0 or nnz == 0:
+        return ()
+    indptr = np.cumsum([0] + [len(row) for row in graph.adjacency])
+    indices = np.array([j for row in graph.adjacency for j in row], dtype=np.int64)
+    matrix = csr_matrix(
+        (np.ones(nnz, dtype=np.int8), indices, indptr),
+        shape=(graph.left_count, graph.right_count),
+    )
+    row_match = csgraph.maximum_bipartite_matching(matrix, perm_type="column")
+    return tuple((i, int(j)) for i, j in enumerate(row_match) if j >= 0)
+
+
+def test_max_matching_pairs_equal_scipy_on_random_graphs():
+    rng = random.Random(31)
+    shapes = {"left < right": 0, "left > right": 0, "empty rows": 0, "no edges": 0}
+    for trial in range(2400):
+        size = 12 if trial < 2200 else 120
+        left, right = rng.randint(0, size), rng.randint(0, size)
+        density = rng.choice([0.0, 1.0, rng.random(), rng.random() ** 3])
+        empty = rng.random() if trial % 3 == 0 else 0.0
+        adjacency = tuple(
+            () if rng.random() < empty
+            else tuple(j for j in range(right) if rng.random() < density)
+            for _ in range(left)
+        )
+        graph = BipartiteGraph(
+            left_labels=tuple(f"l{i}" for i in range(left)),
+            right_labels=tuple(f"r{j}" for j in range(right)),
+            adjacency=adjacency,
+            ranks=tuple((1,) * len(row) for row in adjacency),
+        )
+        assert max_matching(graph).pairs == scipy_pairs(graph), trial
+        shapes["left < right"] += left < right
+        shapes["left > right"] += left > right
+        shapes["empty rows"] += any(not row for row in adjacency) and density > 0
+        shapes["no edges"] += not any(adjacency)
+    assert min(shapes.values()) >= 200, shapes
+
+
+def test_max_matching_pairs_equal_scipy_on_bvn_support_graphs(monkeypatch):
+    from fairmatch import matching
+    from fairmatch.bobw import uniform_lottery
+
+    supports = []
+
+    def recording(graph):
+        supports.append(graph)
+        return max_matching(graph)
+
+    monkeypatch.setattr(matching, "max_matching", recording)
+    for seed, (n, m) in enumerate([(3, 9), (4, 12), (5, 20), (8, 40)]):
+        for kind in ("goods", "chores"):
+            uniform_lottery(generate_instance(n, m, kind, seed))
+    assert len(supports) >= 100
+    for graph in supports:
+        assert max_matching(graph).pairs == scipy_pairs(graph)
+
+
+def test_max_matching_size_agrees_with_networkx_beyond_brute_force():
+    nx = pytest.importorskip("networkx")
+    rng = random.Random(37)
+    for trial in range(12):
+        left = rng.randint(50, 300)
+        right = rng.randint(left // 2, 2 * left)
+        graph = random_ranked_graph(rng, left, right, density=rng.uniform(0.002, 0.05))
+        g = nx.Graph()
+        top = [("l", i) for i in range(left)]
+        g.add_nodes_from(top)
+        g.add_nodes_from(("r", j) for j in range(right))
+        g.add_edges_from(
+            (("l", i), ("r", j)) for i, row in enumerate(graph.adjacency) for j in row
+        )
+        expected = len(nx.bipartite.hopcroft_karp_matching(g, top_nodes=top)) // 2
+        match = max_matching(graph)
+        assert len(match) == expected, trial
+        assert len({j for _, j in match.pairs}) == len(match)
+        assert all(graph.has_edge(i, j) for i, j in match.pairs)
+
+
 # ---------------------------------------------------------------------------
 # exact assignment
 # ---------------------------------------------------------------------------
