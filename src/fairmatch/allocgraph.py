@@ -89,10 +89,13 @@ def ranked_graph(
     edges: dict[tuple[int, int], int],
 ) -> BipartiteGraph:
     """Build a generic ranked bipartite graph from an edge->rank map."""
+    by_left: dict[int, list[int]] = {}
+    for a, j in edges:
+        by_left.setdefault(a, []).append(j)
     adjacency = []
     ranks = []
     for i in range(len(left_labels)):
-        row = sorted(j for (a, j) in edges if a == i)
+        row = sorted(by_left.get(i, ()))
         adjacency.append(tuple(row))
         ranks.append(tuple(edges[(i, j)] for j in row))
     return BipartiteGraph(

@@ -8,10 +8,15 @@ then decomposes that doubly stochastic matrix into permutation matrices.
 Stripping dummy items from each permutation yields a lottery over complete
 allocations, every one of which passes the bundle characterization, while
 the exact mixture equals the uniform fractional allocation.
+
+The weights are computed as integers over one common denominator and
+become fractions only once, at the end; the decomposition receives them as
+sparse ``{column: weight}`` rows.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -27,7 +32,6 @@ from .core import (
     Instance,
     IntegralAllocation,
     format_rational,
-    interval_set,
     parse_rational,
 )
 from .matching import bvn_decompose
@@ -42,6 +46,13 @@ class FractionalMatching:
     """Edge weights of a fractional perfect matching on an extended graph."""
 
     weights: dict[tuple[int, int], Fraction]
+
+    def rows(self, count: int) -> list[dict[int, Fraction]]:
+        """The weights as one ``{item: weight}`` map per slot, items ascending."""
+        rows: list[dict[int, Fraction]] = [{} for _ in range(count)]
+        for (slot, j), w in sorted(self.weights.items()):
+            rows[slot][j] = w
+        return rows
 
 
 @dataclass(frozen=True)
@@ -73,51 +84,57 @@ def build_fractional_matching(
     Remaining slot capacity is filled with dummy items by a greedy
     northwest rule (slots in index order, dummies in index order), which
     makes the resulting doubly stochastic matrix reproducible.
+
+    Every weight is computed as an integer over ``D``, the least common
+    multiple of the entitlement denominators: with ``alpha = a/b``,
+    interval ``l`` spans ``[(l-1)*b, min(l*b, m*a)]`` and the item at
+    position ``pos`` spans ``[(pos-1)*a, pos*a]``, both in units of
+    ``1/a``, and their overlap weighs ``overlap * D/b``.  The weights are
+    wrapped into fractions once, at the end.
     """
     if not graph.extended:
         raise ValueError("fractional matching needs the extended graph")
-    m = instance.m
+    n, m = instance.n, instance.m
+    denom = math.lcm(*(instance.entitlement(i).denominator for i in range(n)))
     item_index = {item: j for j, item in enumerate(instance.items)}
-    slot_index: dict[tuple[int, int, bool], int] = {
-        (slot.agent, slot.position, slot.spare): idx
-        for idx, slot in enumerate(graph.slots)
-    }
-    weights: dict[tuple[int, int], Fraction] = {}
+    slot_index: dict[tuple[int, int], int] = {}
+    first_spare: dict[int, int] = {}
+    for idx, slot in enumerate(graph.slots):
+        if slot.spare:
+            first_spare.setdefault(slot.agent, idx)
+        else:
+            slot_index[(slot.agent, slot.position)] = idx
+    weights: dict[tuple[int, int], int] = {}
 
-    for i in range(instance.n):
+    for i in range(n):
         alpha = instance.entitlement(i)
-        intervals = interval_set(instance, i)
+        a, b = alpha.numerator, alpha.denominator
+        scale = denom // b
+        end = m * a
+        count = -(-end // b)  # ceil(m * alpha) intervals tile [0, m]
         ranking = instance.agents[i].ranking
-        for ell, (lo, hi) in enumerate(intervals.intervals, start=1):
-            if instance.kind == CHORES:
-                slot = slot_index[(i, ell, False)]
-            elif ell < intervals.count:
-                slot = slot_index[(i, ell, False)]
+        for ell in range(1, count + 1):
+            if instance.kind == CHORES or ell < count:
+                slot = slot_index[(i, ell)]
             else:
                 # goods: the last interval spills into the first spare slot
-                first_spare = next(
-                    idx
-                    for idx, s in enumerate(graph.slots)
-                    if s.agent == i and s.spare
-                )
-                slot = first_spare
-            first = int(lo) + 1
-            for pos in range(first, m + 1):
-                item_lo, item_hi = Fraction(pos - 1), Fraction(pos)
+                slot = first_spare[i]
+            lo, hi = (ell - 1) * b, min(ell * b, end)
+            for pos in range(lo // a + 1, m + 1):
+                item_lo = (pos - 1) * a
                 if item_lo >= hi:
                     break
-                overlap = min(item_hi, hi) - max(item_lo, lo)
+                overlap = min(pos * a, hi) - max(item_lo, lo)
                 if overlap > 0:
-                    j = item_index[ranking[pos - 1]]
-                    key = (slot, j)
-                    weights[key] = weights.get(key, Fraction(0)) + alpha * overlap
+                    key = (slot, item_index[ranking[pos - 1]])
+                    weights[key] = weights.get(key, 0) + overlap * scale
 
     for slot, j in weights:
         if not graph.has_edge(slot, j):
             raise BobwInternalError(f"weight placed on a missing edge ({slot}, {j})")
 
     # fill remaining slot capacity with dummy items, northwest-corner style
-    slot_room = [Fraction(1)] * graph.left_count
+    slot_room = [denom] * graph.left_count
     for (slot, _item), w in weights.items():
         slot_room[slot] -= w
     if any(room < 0 for room in slot_room):
@@ -127,7 +144,7 @@ def build_fractional_matching(
             if not slot.spare and slot_room[idx] != 0:
                 raise BobwInternalError("a real goods slot was left unsaturated")
     dummy = graph.real_item_count
-    dummy_room = Fraction(1)
+    dummy_room = denom
     for idx in range(graph.left_count):
         if instance.kind != CHORES and not graph.slots[idx].spare:
             continue
@@ -135,34 +152,25 @@ def build_fractional_matching(
             if dummy >= graph.right_count:
                 raise BobwInternalError("ran out of dummy items during the fill")
             w = min(slot_room[idx], dummy_room)
-            if w > 0:
-                key = (idx, dummy)
-                weights[key] = weights.get(key, Fraction(0)) + w
-                slot_room[idx] -= w
-                dummy_room -= w
+            key = (idx, dummy)
+            weights[key] = weights.get(key, 0) + w
+            slot_room[idx] -= w
+            dummy_room -= w
             if dummy_room == 0:
                 dummy += 1
-                dummy_room = Fraction(1)
+                dummy_room = denom
 
     # exactness: rows and columns must both sum to one
-    col_sum = [Fraction(0)] * graph.right_count
-    row_sum = [Fraction(0)] * graph.left_count
+    col_sum = [0] * graph.right_count
+    row_sum = [0] * graph.left_count
     for (slot, j), w in weights.items():
         row_sum[slot] += w
         col_sum[j] += w
-    if any(s != 1 for s in row_sum) or any(s != 1 for s in col_sum):
+    if any(s != denom for s in row_sum) or any(s != denom for s in col_sum):
         raise BobwInternalError("fractional matching is not doubly stochastic")
-    return FractionalMatching(weights=weights)
-
-
-def fractional_matrix(
-    matching: FractionalMatching, graph: AllocationGraph
-) -> list[list[Fraction]]:
-    p = graph.left_count
-    matrix = [[Fraction(0)] * p for _ in range(p)]
-    for (slot, j), w in matching.weights.items():
-        matrix[slot][j] = w
-    return matrix
+    return FractionalMatching(
+        weights={key: Fraction(w, denom) for key, w in weights.items()}
+    )
 
 
 def uniform_lottery(instance: Instance) -> Lottery:
@@ -174,8 +182,8 @@ def uniform_lottery(instance: Instance) -> Lottery:
     order), so the support is a set of distinct allocations.
     """
     graph = extend_allocation_graph(build_allocation_graph(instance), instance)
-    fractional = build_fractional_matching(instance, graph)
-    parts = bvn_decompose(fractional_matrix(fractional, graph))
+    # the weights go out of scope before the parts are merged, where memory peaks
+    parts = bvn_decompose(build_fractional_matching(instance, graph).rows(graph.left_count))
     merged: dict[tuple[frozenset[str], ...], Fraction] = {}
     for weight, perm in parts:
         bundles: list[set[str]] = [set() for _ in range(instance.n)]

@@ -125,7 +125,9 @@ def cmd_oracle(args: argparse.Namespace) -> int:
     allocations = fairness.enumerate_wsdprop1(instance, cap=args.cap)
     graph = build_allocation_graph(instance)
     side = "right" if instance.kind == "chores" else "left"
-    matchings = matching.enumerate_side_perfect_matchings(graph, saturate=side)
+    matchings = matching.enumerate_side_perfect_matchings(
+        graph, saturate=side, cap=args.cap
+    )
     matched = {
         matching.allocation_from_matching(match, graph, instance).bundles
         for match in matchings

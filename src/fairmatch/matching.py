@@ -11,12 +11,13 @@ This module bundles every matching primitive the library needs:
   rank-maximal matching (an edge of rank ``r`` weighs ``B**(w - r)``);
 * rank-maximal perfect matchings, signatures, slot-order normalization;
 * picking-sequence extraction from a rank-maximal matching;
-* Birkhoff-von Neumann decomposition of exact doubly stochastic matrices.
+* Birkhoff-von Neumann decomposition of exact doubly stochastic matrices,
+  given as sparse ``{column: entry}`` rows.
 
 No floating point anywhere: matching costs are integers after clearing
-denominators, and the decomposition scales the matrix once by the least
-common multiple of its denominators and subtracts integers, not
-rationals, until the matrix is identically zero.
+denominators, and the decomposition scales the sparse rows once by the
+least common multiple of their denominators and subtracts integers, not
+rationals, until every row is empty.
 """
 
 from __future__ import annotations
@@ -25,10 +26,11 @@ import heapq
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Sequence
+from typing import Callable, Mapping, Sequence
 
 from .allocgraph import AllocationGraph, BipartiteGraph
 from .core import Instance, IntegralAllocation
+from .fairness import InstanceTooLarge
 
 
 class NoPerfectMatching(ValueError):
@@ -464,41 +466,44 @@ def extract_picking_sequence(matching: Matching, graph: BipartiteGraph) -> Picki
 # ---------------------------------------------------------------------------
 
 def bvn_decompose(
-    matrix: Sequence[Sequence[Fraction]],
+    rows: Sequence[Mapping[int, Fraction]],
 ) -> list[tuple[Fraction, tuple[int, ...]]]:
     """Decompose an exact doubly stochastic matrix into permutation matrices.
 
-    Returns ``[(weight, perm), ...]`` with ``perm[row] = column``, weights
-    summing to exactly 1 and ``sum(weight * permutation) == matrix``.  Each
-    round finds a perfect matching on the support (one exists by Hall's
-    condition while the matrix stays doubly stochastic), peels off the
-    minimum entry along it, and repeats; at least one entry is zeroed per
-    round, so the part count is at most ``p*p - p + 2``.
+    The matrix comes as sparse rows: ``rows[i]`` maps a column to its
+    entry, and absent columns are zero.  Returns ``[(weight, perm), ...]``
+    with ``perm[row] = column``, weights summing to exactly 1 and
+    ``sum(weight * permutation) == matrix``.  Each round finds a perfect
+    matching on the support (one exists by Hall's condition while the
+    matrix stays doubly stochastic), peels off the minimum entry along it,
+    and repeats; at least one entry is zeroed per round, so the part count
+    is at most ``p*p - p + 2``.
 
-    The matrix is scaled once by the least common multiple of its
-    denominators, and each row is kept as a ``{column: int}`` map of its
-    positive entries, so a round costs time in the size of the support.
+    The columns are ordered and validated once.  The matrix is then scaled
+    by the least common multiple of its denominators, and each row is kept
+    as a ``{column: int}`` map of its positive entries, so a round costs
+    time in the size of the support and subtracts integers, not rationals.
     """
-    p = len(matrix)
-    rows: list[dict[int, Fraction]] = []
-    for row in matrix:
-        if len(row) != p:
-            raise NotDoublyStochastic("matrix is not square")
+    p = len(rows)
+    work: list[dict] = []
+    for row in rows:
         entries = {}
-        for j, x in enumerate(row):
+        for j in sorted(row):
+            if not 0 <= j < p:
+                raise NotDoublyStochastic("a column lies outside the matrix")
+            x = row[j]
             if x:
                 x = Fraction(x)
                 if x.numerator < 0:
                     raise NotDoublyStochastic("matrix has a negative entry")
                 entries[j] = x
-        rows.append(entries)
-    denom = math.lcm(*(x.denominator for row in rows for x in row.values()))
-    # built in ascending column order and only ever shrunk, so the keys of
-    # every row stay sorted, as a graph's adjacency must be
-    work = [
-        {j: x.numerator * (denom // x.denominator) for j, x in row.items()}
-        for row in rows
-    ]
+        work.append(entries)
+    denom = math.lcm(*(x.denominator for row in work for x in row.values()))
+    # scaled in place; built in ascending column order and only ever shrunk,
+    # so the keys of every row stay sorted, as a graph's adjacency must be
+    for row in work:
+        for j, x in row.items():
+            row[j] = x.numerator * (denom // x.denominator)
     column_sums = [0] * p
     for row in work:
         if sum(row.values()) != denom:
@@ -608,13 +613,15 @@ def solve_with_sequence(
 
 
 def enumerate_side_perfect_matchings(
-    graph: BipartiteGraph, saturate: str
+    graph: BipartiteGraph, saturate: str, cap: int | None = None
 ) -> list[Matching]:
     """All matchings saturating one side, by backtracking; for small graphs.
 
     ``saturate`` is ``"left"`` or ``"right"``.  Used as a brute-force
     oracle against the solvers and for the matching-versus-enumeration
-    cross-check.
+    cross-check.  With a ``cap``, the search stops with
+    :class:`InstanceTooLarge` as soon as it finds more than ``cap``
+    matchings.
     """
     if saturate == "left":
         count = graph.left_count
@@ -638,6 +645,8 @@ def enumerate_side_perfect_matchings(
             else:
                 pairs = tuple(sorted((chosen[j], j) for j in range(count)))
             results.append(Matching(pairs=pairs))
+            if cap is not None and len(results) > cap:
+                raise InstanceTooLarge(f"side-perfect matchings exceed cap {cap}")
             return
         for w in neighbors[v]:
             if w not in taken:

@@ -1,5 +1,6 @@
 """Tests for allocation graph construction, extension and exports."""
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -9,6 +10,7 @@ from fairmatch.allocgraph import (
     extend_allocation_graph,
     graph_to_dot,
     graph_to_text,
+    ranked_graph,
     slot_count,
     slot_threshold,
 )
@@ -96,6 +98,26 @@ def test_single_agent_chores_slots():
         bound = slot.position - 1  # thresholds collapse to l-1
         expected = {j for j in range(m) if j + 1 >= bound}
         assert set(graph.adjacency[idx]) == expected
+
+
+def test_ranked_graph_rows_follow_the_edge_map():
+    rng = random.Random(5)
+    for _ in range(200):
+        left, right = rng.randint(0, 10), rng.randint(1, 10)
+        edges = {
+            (rng.randint(-1, left), rng.randrange(right)): rng.randint(1, 5)
+            for _ in range(rng.randint(0, 40))
+        }
+        graph = ranked_graph(
+            [f"l{i}" for i in range(left)], [f"r{j}" for j in range(right)], edges
+        )
+        # each row holds that left vertex's edges in ascending order; edges
+        # of left indices outside the label list are dropped
+        for i in range(left):
+            row = sorted(j for (a, j) in edges if a == i)
+            assert graph.adjacency[i] == tuple(row)
+            assert graph.ranks[i] == tuple(edges[(i, j)] for j in row)
+        assert len(graph.adjacency) == left
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,6 @@ import pytest
 from fairmatch.allocgraph import build_allocation_graph, extend_allocation_graph
 from fairmatch.bobw import (
     build_fractional_matching,
-    fractional_matrix,
     lottery_from_json,
     lottery_to_json,
     uniform_lottery,
@@ -84,8 +83,10 @@ def test_matrix_is_doubly_stochastic():
         for kind in ("chores", "goods"):
             inst = generate_instance(1 + seed % 4, 1 + seed % 7, kind, seed)
             graph = extended(inst)
-            matrix = fractional_matrix(build_fractional_matching(inst, graph), graph)
             p = graph.left_count
+            matrix = [[Fraction(0)] * p for _ in range(p)]
+            for (slot, j), w in build_fractional_matching(inst, graph).weights.items():
+                matrix[slot][j] = w
             for row in matrix:
                 assert sum(row) == 1
             for j in range(p):
@@ -160,12 +161,13 @@ def test_lottery_properties_random_instances():
                 assert sum(len(b) for b in allocation.bundles) == inst.m
 
 
-def test_lottery_output_is_pinned():
-    # the full lottery_to_json of one fixed instance, recorded before the
-    # decomposition moved to scaled integers: the parts, their order and
-    # their probabilities must not change
-    inst = generate_instance(4, 12, "goods", 7)
-    pinned = Path(__file__).parent / "data" / "lottery_goods_4x12_seed7.json"
+@pytest.mark.parametrize("kind", ["goods", "chores"])
+def test_lottery_output_is_pinned(kind):
+    # the full lottery_to_json of one fixed instance per kind, recorded
+    # from an earlier implementation: the parts, their order and their
+    # probabilities must not change
+    inst = generate_instance(4, 12, kind, 7)
+    pinned = Path(__file__).parent / "data" / f"lottery_{kind}_4x12_seed7.json"
     got = lottery_to_json(inst, uniform_lottery(inst))
     assert got == json.loads(pinned.read_text())
 

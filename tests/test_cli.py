@@ -171,6 +171,20 @@ def test_oracle_command_cross_checks(tmp_path, capsys):
     assert json.loads(out)["matching_cross_check"] == "ok"
 
 
+def test_oracle_caps_the_matchings_it_enumerates(tmp_path, capsys):
+    # 2^8 = 256 allocations pass the n^m check, but the chores graph has
+    # 1,514 chore-saturating matchings: the cap must stop their enumeration
+    path = tmp_path / "inst.json"
+    code, _, _ = run(
+        capsys, "gen", "--agents", "2", "--items", "8", "--kind", "chores",
+        "--seed", "1", "-o", str(path),
+    )
+    assert code == 0
+    code, out, err = run(capsys, "oracle", str(path), "--cap", "300")
+    assert code == 2 and out == ""
+    assert err == "error: side-perfect matchings exceed cap 300\n"
+
+
 # ---------------------------------------------------------------------------
 # error handling
 # ---------------------------------------------------------------------------

@@ -14,7 +14,7 @@ from fairmatch.allocgraph import (
     ranked_graph,
 )
 from fairmatch.core import generate_instance, validate_instance
-from fairmatch.fairness import check_allocation, simulate_picking_sequence
+from fairmatch.fairness import InstanceTooLarge, check_allocation, simulate_picking_sequence
 from fairmatch.matching import (
     LexCost,
     Matching,
@@ -704,23 +704,28 @@ def test_sequence_round_trip_random_instances():
 # Birkhoff-von Neumann decomposition
 # ---------------------------------------------------------------------------
 
+def sparse_rows(matrix):
+    """A dense matrix as the ``{column: entry}`` rows bvn_decompose takes."""
+    return [dict(enumerate(row)) for row in matrix]
+
+
 def test_bvn_half_matrix():
     half = Fraction(1, 2)
-    parts = bvn_decompose([[half, half], [half, half]])
+    parts = bvn_decompose(sparse_rows([[half, half], [half, half]]))
     assert sorted(w for w, _ in parts) == [half, half]
     assert {perm for _, perm in parts} == {(0, 1), (1, 0)}
 
 
 def test_bvn_permutation_input():
     one, zero = Fraction(1), Fraction(0)
-    parts = bvn_decompose([[zero, one], [one, zero]])
+    parts = bvn_decompose(sparse_rows([[zero, one], [one, zero]]))
     assert parts == [(one, (1, 0))]
 
 
 def test_bvn_cyclic_three_by_three():
     a, b = Fraction(1, 2), Fraction(1, 4)
     matrix = [[a, b, b], [b, a, b], [b, b, a]]
-    parts = bvn_decompose(matrix)
+    parts = bvn_decompose(sparse_rows(matrix))
     assert sum(w for w, _ in parts) == 1
     assert len(parts) <= 3 * 3 - 3 + 2
     rebuilt = [[Fraction(0)] * 3 for _ in range(3)]
@@ -750,7 +755,7 @@ def test_bvn_random_exact_reconstruction():
             for i, j in enumerate(perm):
                 matrix[i][j] += 1 - total
         support = {(i, j) for i in range(p) for j in range(p) if matrix[i][j] > 0}
-        parts = bvn_decompose(matrix)
+        parts = bvn_decompose(sparse_rows(matrix))
         assert sum(w for w, _ in parts) == 1
         assert len(parts) <= p * p - p + 2
         rebuilt = [[Fraction(0)] * p for _ in range(p)]
@@ -785,24 +790,33 @@ def dense_rational_bvn(matrix):
 
 
 def test_bvn_matches_dense_rational_reference():
-    from fairmatch.bobw import build_fractional_matching, fractional_matrix
+    from fairmatch.bobw import build_fractional_matching
 
     for seed in range(12):
         for kind in ("goods", "chores"):
             inst = generate_instance(2 + seed % 4, 6 + seed, kind, seed)
             graph = extend_allocation_graph(build_allocation_graph(inst), inst)
-            matrix = fractional_matrix(build_fractional_matching(inst, graph), graph)
-            assert bvn_decompose(matrix) == dense_rational_bvn(matrix)
+            fractional = build_fractional_matching(inst, graph)
+            p = graph.left_count
+            matrix = [[Fraction(0)] * p for _ in range(p)]
+            for (slot, j), w in fractional.weights.items():
+                matrix[slot][j] = w
+            assert bvn_decompose(fractional.rows(p)) == dense_rational_bvn(matrix)
 
 
 def test_bvn_rejects_bad_input():
     one, zero = Fraction(1), Fraction(0)
     with pytest.raises(NotDoublyStochastic):
-        bvn_decompose([[one, zero]])
+        bvn_decompose(sparse_rows([[one, zero]]))
     with pytest.raises(NotDoublyStochastic):
-        bvn_decompose([[Fraction(1, 2), Fraction(1, 2)], [one, zero]])
+        bvn_decompose(sparse_rows([[Fraction(1, 2), Fraction(1, 2)], [one, zero]]))
     with pytest.raises(NotDoublyStochastic):
-        bvn_decompose([[Fraction(3, 2), Fraction(-1, 2)], [Fraction(-1, 2), Fraction(3, 2)]])
+        bvn_decompose(sparse_rows([[Fraction(3, 2), Fraction(-1, 2)], [Fraction(-1, 2), Fraction(3, 2)]]))
+    # columns outside the matrix
+    with pytest.raises(NotDoublyStochastic):
+        bvn_decompose([{0: one}, {2: one}])
+    with pytest.raises(NotDoublyStochastic):
+        bvn_decompose([{-1: one}, {1: one}])
 
 
 # ---------------------------------------------------------------------------
@@ -863,3 +877,7 @@ def test_enumerate_side_perfect_matchings_e1():
         allocation_from_matching(m, graph, e1()).bundles for m in matchings
     }
     assert len(allocations) == 6
+    # the cap bounds the matchings found, not the allocations
+    assert enumerate_side_perfect_matchings(graph, "right", cap=len(matchings)) == matchings
+    with pytest.raises(InstanceTooLarge):
+        enumerate_side_perfect_matchings(graph, "right", cap=len(matchings) - 1)
