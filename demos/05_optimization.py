@@ -4,7 +4,9 @@ Fair allocations are exactly the perfect matchings of the extended
 allocation graph, and that matching polytope is integral, so any linear
 objective, say each agent's competence at each chore, or the shipping
 cost of sending a good to an agent, can be optimized exactly with one
-assignment solve, without giving up the fairness guarantee.
+min-cost matching, without giving up the fairness guarantee.  The solve
+matches every item into the agents' slots; for goods, an agent's spare
+slots are one vertex that takes up to q items.
 """
 
 import itertools

@@ -5,10 +5,12 @@ This module bundles every matching primitive the library needs:
 * maximum-cardinality bipartite matching: Hopcroft-Karp over the adjacency
   lists, in pure Python;
 * one exact minimum-cost matching kernel: successive shortest paths with
-  Dijkstra over the sparse adjacency lists and integer potentials.  It
-  serves both exact assignment (rational costs scaled once to integers,
-  lexicographic cost vectors read as digits of one integer) and
-  rank-maximal matching (an edge of rank ``r`` weighs ``B**(w - r)``);
+  Dijkstra over the sparse adjacency lists and integer potentials, where
+  a right vertex may take several left vertices up to its capacity (the
+  spare slots of one agent as one vertex).  It serves both exact
+  assignment (rational costs scaled once to integers, lexicographic cost
+  vectors read as digits of one integer) and rank-maximal matching (an
+  edge of rank ``r`` weighs ``B**(w - r)``);
 * rank-maximal perfect matchings, signatures, slot-order normalization;
 * picking-sequence extraction from a rank-maximal matching;
 * Birkhoff-von Neumann decomposition of exact doubly stochastic matrices,
@@ -51,7 +53,11 @@ class MatchingInternalError(AssertionError):
 
 @dataclass(frozen=True)
 class Matching:
-    """A set of (left, right) pairs with no vertex repeated."""
+    """A set of (left, right) pairs with no vertex repeated.
+
+    A capacitated assignment (:func:`assignment_min_cost`) repeats a right
+    vertex up to its capacity.
+    """
 
     pairs: tuple[tuple[int, int], ...]
 
@@ -201,30 +207,31 @@ def _min_cost_matching(
     adjacency: Sequence[Sequence[int]],
     costs: Sequence[Sequence[int]],
     right_count: int,
+    capacity: Sequence[int] | None = None,
 ) -> list[int]:
     """Min-cost matching saturating every left vertex, over integer costs.
 
     Successive shortest paths: each left vertex, in index order, augments
-    along a shortest alternating path to a free right vertex.  Paths are
+    along a shortest alternating path to a right vertex with room left.
+    Right vertex ``j`` takes up to ``capacity[j]`` left vertices (one
+    each when ``capacity`` is omitted) and need not be filled.  Paths are
     found by Dijkstra over the reduced costs ``c - u[i] - v[j]``, which
     stay nonnegative under exact integer potentials (``u`` starts at the
-    row minimum, ``v`` at zero).  Heap entries are ``(distance, right)``,
-    so ties break by vertex index.  ``costs[i]`` is aligned with
-    ``adjacency[i]``.  Returns the right vertex matched to each left
-    vertex; raises :class:`NoPerfectMatching` when some left vertex cannot
-    be saturated.
+    row minimum, ``v`` at zero).  A settled right vertex with room ends
+    the search; a full one relaxes every left vertex matched to it, all
+    of which share its distance because their edges to it are tight.
+    Heap entries are ``(distance, right)``, so ties break by vertex
+    index.  ``costs[i]`` is aligned with ``adjacency[i]``.  Returns the
+    right vertex matched to each left vertex; raises
+    :class:`NoPerfectMatching` when some left vertex cannot be saturated.
     """
     u = [min(row, default=0) for row in costs]
     v = [0] * right_count
-    # rows with equal edges and costs (the spare slots of one agent) relax
-    # alike: once one of them is expanded at offset ``d - u[i]``, another
-    # reached at an offset no smaller cannot shorten any path
-    first: dict[tuple, int] = {}
-    twin = [
-        first.setdefault((tuple(adj), tuple(row)), i)
-        for i, (adj, row) in enumerate(zip(adjacency, costs))
-    ]
+    room = [1] * right_count if capacity is None else list(capacity)
+    # a unit right vertex keeps its left vertex in ``owner``; any other
+    # keeps its left vertices in ``held``, in the order they arrived
     owner = [-1] * right_count
+    held: dict[int, dict[int, None]] = {j: {} for j, c in enumerate(room) if c != 1}
     mate = [-1] * len(adjacency)
     for s in range(len(adjacency)):
         dist: list[int | None] = [None] * right_count
@@ -238,7 +245,6 @@ def _min_cost_matching(
             heap.append((d, j))
         heapq.heapify(heap)
         settled: list[int] = []
-        expanded = {twin[s]: -us}
         while True:
             if not heap:
                 raise NoPerfectMatching("graph admits no perfect matching")
@@ -246,37 +252,42 @@ def _min_cost_matching(
             if d != dist[j]:
                 continue  # superseded by a shorter path
             settled.append(j)
-            i = owner[j]
-            if i < 0:
+            if room[j]:
                 break
-            off = d - u[i]
-            t = twin[i]
-            if t in expanded and expanded[t] <= off:
-                continue
-            expanded[t] = off
+            i = owner[j]
             # a settled vertex never improves (reduced costs are
             # nonnegative), so it needs no separate check here
-            for k, c in zip(adjacency[i], costs[i]):
-                nd = off + c - v[k]
-                old = dist[k]
-                if old is None or nd < old:
-                    dist[k] = nd
-                    via[k] = i
-                    heapq.heappush(heap, (nd, k))
+            for i in (i,) if i >= 0 else held[j]:
+                off = d - u[i]
+                for k, c in zip(adjacency[i], costs[i]):
+                    nd = off + c - v[k]
+                    old = dist[k]
+                    if old is None or nd < old:
+                        dist[k] = nd
+                        via[k] = i
+                        heapq.heappush(heap, (nd, k))
         # shift the potentials so the reduced costs stay nonnegative and
         # every edge of the path just found becomes tight
         for k in settled:
             delta = d - dist[k]
             if delta:
                 v[k] -= delta
-                u[owner[k]] += delta
+                i = owner[k]
+                for i in (i,) if i >= 0 else held[k]:
+                    u[i] += delta
         u[s] += d
+        room[j] -= 1
         while True:
             i = via[j]
-            owner[j] = i
+            if j in held:
+                held[j][i] = None
+            else:
+                owner[j] = i
             mate[i], j = j, mate[i]
             if i == s:
                 break
+            if j in held:
+                del held[j][i]
     return mate
 
 
@@ -291,22 +302,31 @@ def assignment_min_cost(
     graph: BipartiteGraph,
     cost: Callable[[int, int], object],
     maximize: bool = False,
+    capacity: Sequence[int] | None = None,
 ) -> Matching:
     """Perfect matching minimizing the total edge cost, exactly.
 
-    ``cost`` must be defined on every edge of the (balanced) graph and
-    return either exact integers/rationals or :class:`LexCost` vectors of
-    a common width.  Integers are used as they are; rationals are scaled
-    once by the least common multiple of their denominators; lex vectors
-    are read as digits of one integer in a base wider than any difference
-    of two matching totals, which keeps their order.  Ties break
+    ``cost`` must be defined on every edge of the graph and return either
+    exact integers/rationals or :class:`LexCost` vectors of a common
+    width.  Integers are used as they are; rationals are scaled once by
+    the least common multiple of their denominators; lex vectors are read
+    as digits of one integer in a base wider than any difference of two
+    matching totals, which keeps their order.  Ties break
     deterministically by vertex order.
+
+    Without ``capacity`` the graph must be balanced.  With it, right
+    vertex ``j`` takes up to ``capacity[j]`` left vertices, so it may
+    appear that many times in the pairs, and the cheapest matching that
+    covers every left vertex is returned.
     """
     p = graph.left_count
-    if p != graph.right_count:
-        raise NoPerfectMatching(
-            f"graph is unbalanced ({p} left vs {graph.right_count} right)"
-        )
+    if capacity is None:
+        if p != graph.right_count:
+            raise NoPerfectMatching(
+                f"graph is unbalanced ({p} left vs {graph.right_count} right)"
+            )
+    elif len(capacity) != graph.right_count:
+        raise ValueError("capacity needs one entry per right vertex")
     if p == 0:
         return Matching(pairs=())
     rows = [[cost(i, j) for j in graph.adjacency[i]] for i in range(p)]
@@ -324,7 +344,7 @@ def assignment_min_cost(
         rows = [[int(Fraction(c) * denom) for c in row] for row in rows]
     if maximize:
         rows = [[-c for c in row] for row in rows]
-    mate = _min_cost_matching(graph.adjacency, rows, p)
+    mate = _min_cost_matching(graph.adjacency, rows, graph.right_count, capacity)
     return Matching(pairs=tuple(enumerate(mate)))
 
 
@@ -337,11 +357,14 @@ def rank_maximal_perfect_matching(graph: BipartiteGraph) -> Matching:
 
     Reduced to minimum-cost matching (Michail, "Reducing rank-maximal to
     maximum weight matching", TCS 2007): an edge of rank ``r`` costs
-    ``-B**(w - r)`` with ``B = left + 1`` and ``w`` the largest rank.  No
-    rank count exceeds ``left``, so the total is the signature read as
-    base-``B`` digits and the cheapest matching is rank-maximal.  With
-    fewer left than right vertices the left side is saturated without
-    padding.
+    ``-B**(w - r)`` with ``w`` the largest rank.  While no rank count
+    reaches ``B``, the total is the signature read as base-``B`` digits
+    and the cheapest matching is rank-maximal.  A general graph takes
+    ``B = left + 1``.  An allocation graph takes ``B = n + 1`` with ``n``
+    the agents that own a slot: a rank depends only on the agent and the
+    item, so all of an agent's rank-``r`` edges go to one item, and a
+    matching holds at most ``n`` edges of each rank.  With fewer left
+    than right vertices the left side is saturated without padding.
 
     On an extended allocation graph every dummy item is matched in every
     perfect matching, each contributing one edge at its own rank, so the
@@ -352,15 +375,17 @@ def rank_maximal_perfect_matching(graph: BipartiteGraph) -> Matching:
     left, right = graph.left_count, graph.right_count
     if left > right:
         raise NoPerfectMatching("left side larger than right side")
-    real = right
-    if isinstance(graph, AllocationGraph) and graph.extended:
-        real = graph.real_item_count
+    real, base = right, left + 1
+    if isinstance(graph, AllocationGraph):
+        base = len({slot.agent for slot in graph.slots}) + 1
+        if graph.extended:
+            real = graph.real_item_count
     width = max(
         (r for adj, ranks in zip(graph.adjacency, graph.ranks)
          for j, r in zip(adj, ranks) if j < real),
         default=0,
     )
-    weight = [-((left + 1) ** (width - r)) for r in range(width + 1)]
+    weight = [-(base ** (width - r)) for r in range(width + 1)]
     costs = [
         [weight[r] if j < real else 0 for j, r in zip(adj, ranks)]
         for adj, ranks in zip(graph.adjacency, graph.ranks)

@@ -325,6 +325,28 @@ def test_criterion_08_optimization_matches_brute_force():
     report("08 optimization optimality: PASS (100 instances, exact)")
 
 
+def test_criterion_08b_optimization_at_scale():
+    # at goods 80x400 the extended graph would have p = 2,691 rows; the
+    # capacitated solve on the plain graph must stay well under 10 s
+    inst = generate_instance(80, 400, "goods", 43)
+    rng = random.Random(43)
+    values = {
+        (i, item): Fraction(rng.randint(0, 20), rng.randint(1, 6))
+        for i in range(inst.n)
+        for item in inst.items
+    }
+    spec = CostSpec(values=values, direction=MINIMIZE)
+    start = time.monotonic()
+    allocation, objective = optimize_allocation(inst, spec)
+    elapsed = time.monotonic() - start
+    assert elapsed < 10, f"optimize_allocation goods 80x400 took {elapsed:.2f}s"
+    assert check_allocation(inst, allocation).passes
+    # no fair allocation does better, the one from a plain matching included
+    owners = perfect_allocation(inst).owner_map()
+    assert objective <= sum(values[(owners[item], item)] for item in inst.items)
+    report(f"08b optimization at scale: PASS (goods 80x400 in {elapsed:.2f}s)")
+
+
 def test_criterion_09_appendix_fixtures():
     chores = identical("chores", 2, 3)
     good_split = IntegralAllocation(

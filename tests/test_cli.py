@@ -134,6 +134,27 @@ def test_optimize_command(tmp_path, capsys):
     assert code == 0 and "overall: PASS" in out
 
 
+def test_optimize_accepts_no_items_with_empty_costs(tmp_path, capsys):
+    # blank lines are skipped, so an instance without items has no cost rows
+    costs = tmp_path / "costs.txt"
+    costs.write_text("\n")
+    for kind in ("chores", "goods"):
+        inst_path = tmp_path / f"empty-{kind}.json"
+        code, _, _ = run(capsys, "gen", "--agents", "2", "--items", "0", "--kind", kind,
+                         "--seed", "1", "-o", str(inst_path))
+        assert code == 0
+        code, out, err = run(capsys, "optimize", str(inst_path), "--costs", str(costs),
+                             "--minimize")
+        assert code == 0, err
+        payload = json.loads(out)
+        assert payload["objective"] == "0"
+        assert all(bundle == [] for bundle in payload["allocation"].values())
+    # the row count is still checked when there are items
+    _, inst_path = write_identical_chores(tmp_path)
+    code, _, err = run(capsys, "optimize", str(inst_path), "--costs", str(costs), "--minimize")
+    assert code == 2 and "cost rows" in err
+
+
 def test_lottery_command_mixture_recomputable(tmp_path, capsys):
     inst, inst_path = write_identical_chores(tmp_path)
     code, out, _ = run(capsys, "lottery", str(inst_path))

@@ -451,9 +451,8 @@ def test_assignment_agrees_with_networkx_beyond_brute_force():
 
 
 def test_assignment_with_repeated_rows_agrees_with_networkx():
-    # rows with equal edges and costs, like the spare slots of one agent,
-    # let the kernel skip a row whose twin it already relaxed from an
-    # offset no larger
+    # rows with equal edges and costs, like the spare slots of one agent
+    # copied out as rows, tie at every step of the search
     rng = random.Random(29)
     solved = 0
     for trial in range(24):
@@ -477,6 +476,61 @@ def test_assignment_with_repeated_rows_agrees_with_networkx():
         match = assignment_min_cost(graph, lambda i, j: costs[(i, j)])
         assert sum(costs[pair] for pair in match.pairs) == p * 10**4 - total, trial
     assert solved >= 8
+
+
+def test_capacitated_assignment_agrees_with_networkx_on_copied_columns():
+    # a right vertex of capacity c takes the same matchings as c copies of
+    # it, so networkx on the copied graph gives the optimum to compare with
+    rng = random.Random(41)
+    solved = 0
+    for trial in range(24):
+        left = rng.randint(10, 40)
+        right = rng.randint(2, left)
+        capacity = [rng.randint(0, 4) for _ in range(right)]
+        graph, costs = random_cost_graph(rng, left, right, rng.uniform(0.1, 0.5))
+        copies = [j for j in range(right) for _ in range(capacity[j])]
+        copied = ranked_graph(
+            [f"l{i}" for i in range(left)],
+            [f"r{k}" for k in range(len(copies))],
+            {(i, k): 1 for i in range(left) for k, j in enumerate(copies) if graph.has_edge(i, j)},
+        )
+        size, total = networkx_best(copied, lambda i, k: 10**4 - costs[(i, copies[k])])
+        if size < left:
+            with pytest.raises(NoPerfectMatching):
+                assignment_min_cost(graph, lambda i, j: costs[(i, j)], capacity=capacity)
+            continue
+        solved += 1
+        match = assignment_min_cost(graph, lambda i, j: costs[(i, j)], capacity=capacity)
+        assert sorted(i for i, _ in match.pairs) == list(range(left)), trial
+        assert all(graph.has_edge(i, j) for i, j in match.pairs), trial
+        load = [0] * right
+        for _, j in match.pairs:
+            load[j] += 1
+        assert all(x <= c for x, c in zip(load, capacity)), trial
+        assert sum(costs[pair] for pair in match.pairs) == left * 10**4 - total, trial
+        high = assignment_min_cost(
+            graph, lambda i, j: costs[(i, j)], maximize=True, capacity=capacity
+        )
+        _, top = networkx_best(copied, lambda i, k: 10**4 + costs[(i, copies[k])])
+        assert sum(costs[pair] for pair in high.pairs) == top - left * 10**4, trial
+    assert solved >= 8
+
+
+def test_capacitated_assignment_without_room_raises():
+    # three rows that reach only a column of capacity 2
+    graph = ranked_graph(
+        ["l0", "l1", "l2"], ["r0", "r1"], {(0, 0): 1, (1, 0): 1, (2, 0): 1, (2, 1): 1}
+    )
+    match = assignment_min_cost(graph, lambda i, j: j, capacity=[2, 1])
+    assert match.pairs == ((0, 0), (1, 0), (2, 1))
+    with pytest.raises(NoPerfectMatching):
+        assignment_min_cost(graph, lambda i, j: j, capacity=[2, 0])
+    edges = {(0, 0): 1, (1, 0): 1, (2, 0): 1}
+    graph = ranked_graph(["l0", "l1", "l2"], ["r0"], edges)
+    with pytest.raises(NoPerfectMatching):
+        assignment_min_cost(graph, lambda i, j: 0, capacity=[2])
+    with pytest.raises(ValueError):
+        assignment_min_cost(graph, lambda i, j: 0, capacity=[2, 1])
 
 
 def test_rank_maximal_agrees_with_networkx_beyond_brute_force():

@@ -5,8 +5,10 @@ from fractions import Fraction
 
 import pytest
 
+from fairmatch.allocgraph import build_allocation_graph, extend_allocation_graph
 from fairmatch.core import FormatError, generate_instance, validate_instance
 from fairmatch.fairness import check_allocation, enumerate_wsdprop1
+from fairmatch.matching import assignment_min_cost
 from fairmatch.optimize import (
     MAXIMIZE,
     MINIMIZE,
@@ -135,6 +137,39 @@ def test_scaling_leaves_the_optimal_set_unchanged():
             (values[(owners[item], item)] for item in inst.items), Fraction(0)
         )
         assert original_value == objective
+
+
+def extended_graph_optimum(instance, spec):
+    """Optimum by the extended-graph formulation: every spare slot copied
+    out as a row, dummy items at cost zero, one perfect matching."""
+    graph = extend_allocation_graph(build_allocation_graph(instance), instance)
+
+    def cost(slot, item):
+        if graph.is_dummy_item(item):
+            return Fraction(0)
+        return spec.values[(graph.slots[slot].agent, graph.right_labels[item])]
+
+    match = assignment_min_cost(graph, cost, maximize=spec.direction == MAXIMIZE)
+    return sum((cost(i, j) for i, j in match.pairs), Fraction(0))
+
+
+def test_optimum_equals_extended_graph_formulation():
+    for n, m in ((3, 9), (5, 20), (8, 40), (12, 60)):
+        for kind in ("goods", "chores"):
+            for seed in range(10):
+                inst = generate_instance(n, m, kind, seed)
+                rng = random.Random(seed)
+                values = {
+                    (i, item): Fraction(rng.randint(-20, 20), rng.randint(1, 6))
+                    for i in range(inst.n)
+                    for item in inst.items
+                }
+                for direction in (MINIMIZE, MAXIMIZE):
+                    spec = CostSpec(values=values, direction=direction)
+                    allocation, objective = optimize_allocation(inst, spec)
+                    case = (kind, n, m, seed, direction)
+                    assert objective == extended_graph_optimum(inst, spec), case
+                    assert check_allocation(inst, allocation).passes, case
 
 
 def test_incomplete_cost_spec_rejected():
