@@ -16,13 +16,20 @@ dummy goods adjacent to every spare slot.  Matching ranks make the most
 preferred item rank 1 for both kinds (for chores the rank of a real item is
 ``m + 1 - position``); dummy items are ranked ``m+1, m+2, ...`` in index
 order so that they sort after every real item.
+
+One agent's slot neighbourhoods are nested: prefixes of its ranking for
+goods, suffixes for chores.  The builder therefore grows one sorted row
+per agent through them and copies it once per slot.  A rank depends only
+on the agent and the item, so an allocation graph keeps each agent's
+items best first and builds the per-edge ranks on first read; plain
+``solve`` never reads them.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .core import CHORES, Instance
 
@@ -61,23 +68,15 @@ class BipartiteGraph:
 
     def rank_of(self, left: int, right: int) -> int:
         adj = self.adjacency[left]
-        lo, hi = 0, len(adj)
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if adj[mid] < right:
-                lo = mid + 1
-            else:
-                hi = mid
+        lo = bisect_left(adj, right)
         if lo == len(adj) or adj[lo] != right:
             raise KeyError((left, right))
         return self.ranks[left][lo]
 
     def has_edge(self, left: int, right: int) -> bool:
-        try:
-            self.rank_of(left, right)
-            return True
-        except KeyError:
-            return False
+        adj = self.adjacency[left]
+        lo = bisect_left(adj, right)
+        return lo < len(adj) and adj[lo] == right
 
     def max_rank(self) -> int:
         return max((max(r) for r in self.ranks if r), default=0)
@@ -106,17 +105,61 @@ def ranked_graph(
     )
 
 
+class _RanksOnFirstRead:
+    """The ``ranks`` field of :class:`AllocationGraph`: kept if given, else built when read."""
+
+    def __set__(self, graph: AllocationGraph, ranks) -> None:
+        if ranks is not None:
+            graph.__dict__["ranks"] = ranks
+
+    def __get__(self, graph: AllocationGraph | None, owner: type | None = None):
+        if graph is None:
+            return self
+        ranks = graph.__dict__.get("ranks")
+        if ranks is None:
+            ranks = graph.__dict__["ranks"] = graph._edge_ranks()
+        return ranks
+
+
 @dataclass(frozen=True)
 class AllocationGraph(BipartiteGraph):
+    """A slots-versus-items graph whose ranks are built on first read.
+
+    ``preferences[i]`` lists agent ``i``'s real items best first, so the
+    item at index ``k`` has matching-rank ``k + 1``.  Built with
+    ``ranks=None``, the graph derives every edge rank from these on first
+    read and keeps them.
+    """
+
     kind: str = CHORES
     slots: tuple[Slot, ...] = ()
     real_item_count: int = 0
     extended: bool = False
     dummy_count: int = 0
     spare_per_agent: int = 0
+    preferences: tuple[tuple[int, ...], ...] = ()
+
+    ranks = _RanksOnFirstRead()
 
     def is_dummy_item(self, item_index: int) -> bool:
         return item_index >= self.real_item_count
+
+    def _edge_ranks(self) -> tuple[tuple[int, ...], ...]:
+        # one rank-of-item table per agent: real items by matching-rank,
+        # then dummy item j at rank j + 1
+        m = self.real_item_count
+        dummies = range(m + 1, m + self.dummy_count + 1)
+        tables = []
+        for best_first in self.preferences:
+            table = [0] * m
+            for rank, j in enumerate(best_first, start=1):
+                table[j] = rank
+            table += dummies
+            tables.append(table)
+        return tuple(
+            tuple(map(tables[slot.agent].__getitem__, row))
+            for slot, row in zip(self.slots, self.adjacency)
+        )
 
 
 def slot_count(instance: Instance, agent: int) -> int:
@@ -144,9 +187,14 @@ def slot_threshold(instance: Instance, agent: int, position: int) -> int:
     if not 1 <= position <= slot_count(instance, agent):
         raise IndexError(f"slot position {position} out of range for agent {agent}")
     alpha = instance.entitlement(agent)
-    if instance.kind == CHORES:
-        return math.ceil(Fraction(position - 1) / alpha)
-    return math.floor(Fraction(position) / alpha) + 1
+    return _threshold(instance.kind, alpha.numerator, alpha.denominator, position)
+
+
+def _threshold(kind: str, a: int, b: int, position: int) -> int:
+    # the slot thresholds in integers, for alpha = a/b
+    if kind == CHORES:
+        return -(-(position - 1) * b // a)
+    return position * b // a + 1
 
 
 def matching_rank(instance: Instance, agent: int, item: str) -> int:
@@ -162,38 +210,50 @@ def build_allocation_graph(instance: Instance) -> AllocationGraph:
 
     Slots are ordered agent-major with positions ascending; items keep
     instance order.  Chores edges go to positions >= the slot threshold,
-    goods edges to positions <= it.
+    goods edges to positions <= it.  Either way a slot reaches a prefix of
+    its agent's items ordered best first (by matching-rank), and the
+    prefixes of one agent are nested.  So each agent grows one sorted row
+    through them, in order of growing reach (ascending slots for goods,
+    descending for chores), and each slot keeps a copy.  The ranks are
+    built on first read (see :class:`AllocationGraph`).
     """
     m = instance.m
+    chores = instance.kind == CHORES
     item_index = {item: j for j, item in enumerate(instance.items)}
     slots: list[Slot] = []
     adjacency: list[tuple[int, ...]] = []
-    ranks: list[tuple[int, ...]] = []
-    for i in range(instance.n):
-        # item index at each ranking position, and matching-rank per item index
-        by_position = [item_index[item] for item in instance.agents[i].ranking]
-        rank_of_item = [0] * m
-        for pos, j in enumerate(by_position, start=1):
-            rank_of_item[j] = m + 1 - pos if instance.kind == CHORES else pos
-        for ell in range(1, slot_count(instance, i) + 1):
-            bound = slot_threshold(instance, i, ell)
-            if instance.kind == CHORES:
-                positions = range(max(1, bound), m + 1)
-            else:
-                positions = range(1, min(m, bound) + 1)
-            row = sorted(by_position[pos - 1] for pos in positions)
-            slots.append(Slot(agent=i, position=ell))
-            adjacency.append(tuple(row))
-            ranks.append(tuple(rank_of_item[j] for j in row))
+    preferences: list[tuple[int, ...]] = []
+    for i, agent in enumerate(instance.agents):
+        best_first = list(map(item_index.__getitem__, agent.ranking))
+        if chores:
+            best_first.reverse()
+        a, b = agent.entitlement.numerator, agent.entitlement.denominator
+        count = slot_count(instance, i)
+        rows: list[tuple[int, ...]] = []
+        row: list[int] = []
+        reached = 0
+        for ell in range(count, 0, -1) if chores else range(1, count + 1):
+            bound = _threshold(instance.kind, a, b, ell)
+            reach = m + 1 - max(1, bound) if chores else min(m, bound)
+            row += best_first[reached:reach]
+            row.sort()
+            rows.append(tuple(row))
+            reached = reach
+        if chores:
+            rows.reverse()
+        adjacency += rows
+        slots += (Slot(agent=i, position=ell) for ell in range(1, count + 1))
+        preferences.append(tuple(best_first))
     return AllocationGraph(
         left_labels=tuple(_slot_label(s) for s in slots),
         right_labels=instance.items,
         adjacency=tuple(adjacency),
-        ranks=tuple(ranks),
+        ranks=None,
         kind=instance.kind,
         slots=tuple(slots),
         real_item_count=m,
         extended=False,
+        preferences=tuple(preferences),
     )
 
 
@@ -215,19 +275,17 @@ def extend_allocation_graph(graph: AllocationGraph, instance: Instance) -> Alloc
             raise GraphInternalError("chores graph has fewer slots than chores")
         items = graph.right_labels + tuple(f"~d{k + 1}" for k in range(q))
         dummy_indices = tuple(range(m, m + q))
-        dummy_ranks = tuple(m + 1 + k for k in range(q))
-        adjacency = tuple(row + dummy_indices for row in graph.adjacency)
-        ranks = tuple(row + dummy_ranks for row in graph.ranks)
         extended = AllocationGraph(
             left_labels=graph.left_labels,
             right_labels=items,
-            adjacency=adjacency,
-            ranks=ranks,
+            adjacency=tuple(row + dummy_indices for row in graph.adjacency),
+            ranks=None,
             kind=instance.kind,
             slots=graph.slots,
             real_item_count=m,
             extended=True,
             dummy_count=q,
+            preferences=graph.preferences,
         )
     else:
         q = spare_slot_count(instance)
@@ -239,29 +297,21 @@ def extend_allocation_graph(graph: AllocationGraph, instance: Instance) -> Alloc
             raise GraphInternalError("extended goods graph is not balanceable")
         items = graph.right_labels + tuple(f"~d{k + 1}" for k in range(t))
         slots = list(graph.slots)
-        adjacency = list(graph.adjacency)
-        ranks = list(graph.ranks)
-        all_items = tuple(range(m + t))
         for i in range(instance.n):
             base = slot_count(instance, i)
-            spare_ranks = tuple(
-                matching_rank(instance, i, instance.items[j]) for j in range(m)
-            ) + tuple(m + 1 + k for k in range(t))
-            for s in range(q):
-                slots.append(Slot(agent=i, position=base + s + 1, spare=True))
-                adjacency.append(all_items)
-                ranks.append(spare_ranks)
+            slots += (Slot(agent=i, position=base + s + 1, spare=True) for s in range(q))
         extended = AllocationGraph(
             left_labels=tuple(_slot_label(s) for s in slots),
             right_labels=items,
-            adjacency=tuple(adjacency),
-            ranks=tuple(ranks),
+            adjacency=graph.adjacency + (tuple(range(m + t)),) * (instance.n * q),
+            ranks=None,
             kind=instance.kind,
             slots=tuple(slots),
             real_item_count=m,
             extended=True,
             dummy_count=t,
             spare_per_agent=q,
+            preferences=graph.preferences,
         )
     if extended.left_count != extended.right_count:
         raise GraphInternalError(

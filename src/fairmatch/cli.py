@@ -108,7 +108,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     instance = _load_instance_file(args.instance)
     try:
         data = json.loads(_read(args.allocation))
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise FormatError(f"invalid JSON in allocation file: {exc}") from exc
     allocation = allocation_from_json(instance, data)
     try:

@@ -207,25 +207,9 @@ def validate_instance(
                 f"agent {name!r} has entitlement {entitlement}; remove the agent instead",
             )
         ranking = tuple(ranking)
-        seen = set()
-        for item in ranking:
-            if item not in item_set:
-                raise InstanceError(
-                    "MissingItemInRanking",
-                    f"agent {name!r} ranks unknown item {item!r}",
-                )
-            if item in seen:
-                raise InstanceError(
-                    "DuplicateItemInRanking",
-                    f"agent {name!r} ranks item {item!r} twice",
-                )
-            seen.add(item)
-        if len(ranking) != len(items):
-            missing = sorted(item_set - seen)
-            raise InstanceError(
-                "MissingItemInRanking",
-                f"agent {name!r} does not rank {missing}",
-            )
+        # equal length and equal sets: every item known, none repeated
+        if len(ranking) != len(items) or set(ranking) != item_set:
+            _reject_ranking(name, ranking, item_set)
         validated.append(Agent(name=name, entitlement=entitlement, ranking=ranking))
 
     total = sum(agent.entitlement for agent in validated)
@@ -235,6 +219,28 @@ def validate_instance(
             f"entitlements sum to {format_rational(Fraction(total))}, expected 1",
         )
     return Instance(kind=kind, items=items, agents=tuple(validated))
+
+
+def _reject_ranking(name: str, ranking: tuple[str, ...], item_set: set[str]) -> None:
+    """Raise the error of the first bad item of a ranking, else of the missing ones."""
+    seen = set()
+    for item in ranking:
+        if item not in item_set:
+            raise InstanceError(
+                "MissingItemInRanking",
+                f"agent {name!r} ranks unknown item {item!r}",
+            )
+        if item in seen:
+            raise InstanceError(
+                "DuplicateItemInRanking",
+                f"agent {name!r} ranks item {item!r} twice",
+            )
+        seen.add(item)
+    missing = sorted(item_set - seen)
+    raise InstanceError(
+        "MissingItemInRanking",
+        f"agent {name!r} does not rank {missing}",
+    )
 
 
 def interval_set(instance: Instance, agent: int) -> IntervalSet:
@@ -304,7 +310,7 @@ def instance_from_json(data: object) -> Instance:
         if field not in data:
             raise FormatError(f"instance file missing field {field!r}")
     items = data["items"]
-    if not isinstance(items, list) or not all(isinstance(x, str) for x in items):
+    if not isinstance(items, list) or not all(map(str.__instancecheck__, items)):
         raise FormatError("items must be an array of strings")
     raw_agents = data["agents"]
     if not isinstance(raw_agents, list):
@@ -322,7 +328,7 @@ def instance_from_json(data: object) -> Instance:
         if not isinstance(entry["name"], str):
             raise FormatError("agent name must be a string")
         ranking = entry["ranking"]
-        if not isinstance(ranking, list) or not all(isinstance(x, str) for x in ranking):
+        if not isinstance(ranking, list) or not all(map(str.__instancecheck__, ranking)):
             raise FormatError("agent ranking must be an array of item names")
         agents.append((entry["name"], parse_rational(entry["entitlement"]), ranking))
     return validate_instance(data["kind"], items, agents)
@@ -335,7 +341,7 @@ def dump_instance(instance: Instance) -> str:
 def load_instance(text: str) -> Instance:
     try:
         data = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise FormatError(f"invalid JSON: {exc}") from exc
     return instance_from_json(data)
 

@@ -435,21 +435,22 @@ def normalize_slot_order(matching: Matching, graph: AllocationGraph) -> Matching
 def extract_picking_sequence(matching: Matching, graph: BipartiteGraph) -> PickingSequence:
     """Order the matched left vertices so greedy picking reproduces the matching.
 
-    Processes rank groups in increasing matched-rank order; within a group,
-    repeatedly emits the lowest-index vertex that has no edge to a still
-    available item it ranks better than its own match.  If at some step
-    every remaining group member has such an edge, the matching was not
-    rank-maximal and :class:`NotRankMaximal` is raised.  For allocation
-    graphs the dummy-matched slots form the tail and are dropped; the
-    remaining slots are replaced by their owning agents.
+    Repeatedly emits the first pending vertex, in (matched rank, index)
+    order, that has no edge to a still available item it ranks better than
+    its own match.  A rank-maximal matching is Pareto-optimal for the left
+    vertices, and on an allocation graph every item a slot's agent ranks
+    above the slot's match is adjacent to the slot, so such a vertex always
+    exists, though not always among those of the lowest pending rank.  If
+    none does, the matching was not rank-maximal and
+    :class:`NotRankMaximal` is raised.  For allocation graphs the
+    dummy-matched slots are dropped (a dummy is worse than every real
+    item, so they come last); the remaining slots are replaced by their
+    owning agents.
     """
     left_map = matching.left_map()
     if len(left_map) != graph.left_count:
         raise ValueError("matching must cover every left vertex")
     matched_rank = {s: graph.rank_of(s, b) for s, b in left_map.items()}
-    groups: dict[int, list[int]] = {}
-    for s, r in matched_rank.items():
-        groups.setdefault(r, []).append(s)
     # adjacency restricted to strictly-better-ranked items, per left vertex
     better: dict[int, tuple[int, ...]] = {}
     for s in left_map:
@@ -459,22 +460,19 @@ def extract_picking_sequence(matching: Matching, graph: BipartiteGraph) -> Picki
         )
     available = set(range(graph.right_count))
     order: list[int] = []
-    for r in sorted(groups):
-        pending = sorted(groups[r])
-        while pending:
-            chosen = -1
-            for s in pending:
-                if not any(j in available for j in better[s]):
-                    chosen = s
-                    break
-            if chosen < 0:
-                raise NotRankMaximal(
-                    "no slot is free of better available items; "
-                    "the matching is not rank-maximal"
-                )
-            pending.remove(chosen)
-            available.discard(left_map[chosen])
-            order.append(chosen)
+    pending = sorted(left_map, key=lambda s: (matched_rank[s], s))
+    while pending:
+        for k, s in enumerate(pending):
+            if available.isdisjoint(better[s]):
+                break
+        else:
+            raise NotRankMaximal(
+                "no slot is free of better available items; "
+                "the matching is not rank-maximal"
+            )
+        del pending[k]
+        available.discard(left_map[s])
+        order.append(s)
     if isinstance(graph, AllocationGraph):
         agents = tuple(
             graph.slots[s].agent

@@ -1,5 +1,6 @@
 """Tests for allocation graph construction, extension and exports."""
 
+import math
 import random
 from fractions import Fraction
 
@@ -13,6 +14,7 @@ from fairmatch.allocgraph import (
     ranked_graph,
     slot_count,
     slot_threshold,
+    spare_slot_count,
 )
 from fairmatch.core import generate_instance, interval_set, validate_instance
 
@@ -252,6 +254,121 @@ def test_goods_slot_degree_ordering_by_entitlement():
                 for ell in range(1, slot_count(inst, k) + 1):
                     if ell <= slot_count(inst, i):
                         assert degree[(i, ell)] <= degree[(k, ell)]
+
+
+# ---------------------------------------------------------------------------
+# equivalence with the per-slot construction
+# ---------------------------------------------------------------------------
+
+def reference_graphs(inst):
+    """Plain and extended graphs built slot by slot, with every rank spelled out.
+
+    This is the construction the nested-row builder replaced: each slot
+    sorts its own neighbourhood, with the threshold computed in
+    ``Fraction``, and each edge gets its rank from the agent's ranking.
+    """
+    m = inst.m
+    chores = inst.kind == "chores"
+    item_index = {item: j for j, item in enumerate(inst.items)}
+    slots, adjacency, ranks, tables = [], [], [], []
+    for i in range(inst.n):
+        by_position = [item_index[item] for item in inst.agents[i].ranking]
+        rank_of_item = [0] * m
+        for pos, j in enumerate(by_position, start=1):
+            rank_of_item[j] = m + 1 - pos if chores else pos
+        tables.append(rank_of_item)
+        alpha = inst.entitlement(i)
+        for ell in range(1, slot_count(inst, i) + 1):
+            if chores:
+                bound = math.ceil(Fraction(ell - 1) / alpha)
+                positions = range(max(1, bound), m + 1)
+            else:
+                bound = math.floor(Fraction(ell) / alpha) + 1
+                positions = range(1, min(m, bound) + 1)
+            row = sorted(by_position[pos - 1] for pos in positions)
+            slots.append((i, ell, False))
+            adjacency.append(tuple(row))
+            ranks.append(tuple(rank_of_item[j] for j in row))
+    plain = {"slots": slots, "adjacency": adjacency, "ranks": ranks, "dummies": 0}
+    if chores:
+        q = len(slots) - m
+        extended = {
+            "slots": slots,
+            "adjacency": [row + tuple(range(m, m + q)) for row in adjacency],
+            "ranks": [row + tuple(range(m + 1, m + q + 1)) for row in ranks],
+            "dummies": q,
+        }
+    else:
+        q = spare_slot_count(inst)
+        t = len(slots) + inst.n * q - m
+        spare = [(i, slot_count(inst, i) + s + 1, True) for i in range(inst.n) for s in range(q)]
+        extended = {
+            "slots": slots + spare,
+            "adjacency": adjacency + [tuple(range(m + t))] * len(spare),
+            "ranks": ranks + [
+                tuple(tables[i]) + tuple(range(m + 1, m + t + 1)) for i, _, _ in spare
+            ],
+            "dummies": t,
+        }
+    return plain, extended
+
+
+def graph_fields(graph):
+    return {
+        "slots": [(s.agent, s.position, s.spare) for s in graph.slots],
+        "adjacency": list(graph.adjacency),
+        "ranks": list(graph.ranks),
+        "dummies": graph.dummy_count,
+    }
+
+
+@pytest.mark.parametrize("kind", ["goods", "chores"])
+def test_graphs_equal_the_per_slot_construction(kind):
+    for n, m in [(1, 0), (1, 5), (3, 2), (3, 9), (7, 3), (8, 40), (20, 100)]:
+        for seed in range(20):
+            inst = generate_instance(n, m, kind, seed)
+            plain = build_allocation_graph(inst)
+            extended = extend_allocation_graph(plain, inst)
+            want_plain, want_extended = reference_graphs(inst)
+            assert graph_fields(plain) == want_plain, (n, m, seed)
+            assert graph_fields(extended) == want_extended, (n, m, seed)
+            labels = [
+                ("s'" if spare else "s") + f"[{i + 1},{ell}]"
+                for i, ell, spare in want_extended["slots"]
+            ]
+            assert list(extended.left_labels) == labels
+            assert list(plain.left_labels) == labels[: plain.left_count]
+            assert plain.right_labels == inst.items
+            assert extended.right_labels == inst.items + tuple(
+                f"~d{k + 1}" for k in range(want_extended["dummies"])
+            )
+            for ell in range(1, slot_count(inst, 0) + 1):
+                alpha = inst.entitlement(0)
+                assert slot_threshold(inst, 0, ell) == (
+                    math.ceil(Fraction(ell - 1) / alpha) if kind == "chores"
+                    else math.floor(Fraction(ell) / alpha) + 1
+                )
+
+
+def test_ranks_are_built_on_first_read_and_kept():
+    inst = generate_instance(4, 20, "chores", 3)
+    graph = build_allocation_graph(inst)
+    assert "ranks" not in vars(graph)
+    ranks = graph.ranks
+    assert graph.ranks is ranks
+    # an explicitly given ranks tuple is kept as it is
+    copy = type(graph)(
+        left_labels=graph.left_labels,
+        right_labels=graph.right_labels,
+        adjacency=graph.adjacency,
+        ranks=ranks,
+        kind=graph.kind,
+        slots=graph.slots,
+        real_item_count=graph.real_item_count,
+        preferences=graph.preferences,
+    )
+    assert copy.ranks is ranks
+    assert copy == graph
 
 
 # ---------------------------------------------------------------------------

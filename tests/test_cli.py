@@ -93,6 +93,29 @@ def test_solve_seq_emits_replayable_sequence(tmp_path, capsys):
         assert code == 0
 
 
+def test_solve_seq_when_the_lowest_rank_group_is_stuck(tmp_path, capsys):
+    # at one step of the extraction every pending slot of the lowest matched
+    # rank still sees a better available chore, but a higher one does not
+    inst_path = tmp_path / "chores.json"
+    run(
+        capsys, "gen", "--agents", "6", "--items", "30",
+        "--kind", "chores", "--seed", "5", "-o", str(inst_path),
+    )
+    out_path = tmp_path / "seq.json"
+    code, _, err = run(capsys, "solve", str(inst_path), "--seq", "-o", str(out_path))
+    assert code == 0 and err == ""
+    payload = json.loads(out_path.read_text())
+    inst = load_instance(inst_path.read_text())
+    replay = simulate_picking_sequence(
+        inst, [inst.agent_index(name) for name in payload["sequence"]]
+    )
+    assert {
+        name: sorted(items) for name, items in payload["allocation"].items()
+    } == {inst.agents[i].name: sorted(replay.bundles[i]) for i in range(inst.n)}
+    code, out, _ = run(capsys, "verify", str(inst_path), str(out_path))
+    assert code == 0 and "overall: PASS" in out
+
+
 def test_verify_reports_failure_with_exit_one(tmp_path, capsys):
     _, inst_path = write_identical_chores(tmp_path)
     bad = tmp_path / "bad.json"
@@ -270,6 +293,24 @@ def test_non_utf8_instance_exits_two(tmp_path, capsys):
     assert code == 2 and out == ""
     assert err.startswith("error:") and "UTF-8" in err
     assert err.count("\n") == 1
+
+
+def test_deeply_nested_instance_exits_two(tmp_path, capsys):
+    # json.loads raises RecursionError, not JSONDecodeError, on deep nesting
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 100000)
+    code, out, err = run(capsys, "solve", str(deep))
+    assert code == 2 and out == ""
+    assert err.startswith("error: invalid JSON") and err.count("\n") == 1
+
+
+def test_deeply_nested_allocation_exits_two(tmp_path, capsys):
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 100000)
+    _, inst_path = write_identical_chores(tmp_path)
+    code, out, err = run(capsys, "verify", str(inst_path), str(deep))
+    assert code == 2 and out == ""
+    assert err.startswith("error: invalid JSON in allocation file") and err.count("\n") == 1
 
 
 def test_repeated_item_in_bundle_exits_two(tmp_path, capsys):

@@ -81,6 +81,34 @@ def test_ranking_errors():
     assert err.value.code == "MissingItemInRanking"
 
 
+def test_ranking_errors_name_the_first_bad_item():
+    # a ranking of the right length can hide a repeat behind an unknown item
+    # or the other way round; the first bad item in ranking order is named
+    items = ["b1", "b2", "b3"]
+    with pytest.raises(InstanceError) as err:
+        make("goods", items, [("a1", Fraction(1), ["b1", "b1", "zz"])])
+    assert err.value.code == "DuplicateItemInRanking"
+    assert str(err.value) == "agent 'a1' ranks item 'b1' twice"
+    with pytest.raises(InstanceError) as err:
+        make("goods", items, [("a1", Fraction(1), ["zz", "b1", "b1"])])
+    assert err.value.code == "MissingItemInRanking"
+    assert str(err.value) == "agent 'a1' ranks unknown item 'zz'"
+    with pytest.raises(InstanceError) as err:
+        make("goods", items, [("a1", Fraction(1), ["b3", "b1"])])
+    assert str(err.value) == "agent 'a1' does not rank ['b2']"
+
+
+def test_instance_json_rejects_non_string_names():
+    data = instance_to_json(half_half_chores())
+    data["items"][1] = 2
+    with pytest.raises(FormatError, match="items must be an array of strings"):
+        instance_from_json(data)
+    data = instance_to_json(half_half_chores())
+    data["agents"][1]["ranking"][2] = None
+    with pytest.raises(FormatError, match="agent ranking must be an array of item names"):
+        instance_from_json(data)
+
+
 def test_duplicate_agent_name():
     with pytest.raises(InstanceError) as err:
         make(

@@ -754,6 +754,20 @@ def test_sequence_round_trip_random_instances():
         assert check_allocation(inst, allocation).passes
 
 
+@pytest.mark.parametrize("kind", ["goods", "chores"])
+def test_sequence_round_trip_when_the_lowest_rank_group_is_stuck(kind):
+    # goods 6x30 seed 28, goods 8x40 seed 30 and chores 6x30 seed 5 reach a
+    # step where every pending slot of the lowest matched rank still sees a
+    # better available item, while a slot of a higher rank does not
+    for n, m in [(6, 30), (8, 40)]:
+        for seed in range(40):
+            inst = generate_instance(n, m, kind, seed)
+            allocation, seq = solve_with_sequence(inst)
+            replay = simulate_picking_sequence(inst, seq.sequence)
+            assert replay.bundles == allocation.bundles, (n, m, seed)
+            assert check_allocation(inst, allocation).passes
+
+
 # ---------------------------------------------------------------------------
 # Birkhoff-von Neumann decomposition
 # ---------------------------------------------------------------------------
