@@ -51,7 +51,6 @@ from .fairness import (
     step_valuation_oracle,
 )
 from .matching import (
-    LexCost,
     Matching,
     NoPerfectMatching,
     NotDoublyStochastic,
@@ -87,7 +86,6 @@ __all__ = [
     "InstanceError",
     "IntegralAllocation",
     "IntervalSet",
-    "LexCost",
     "Lottery",
     "Matching",
     "NoPerfectMatching",

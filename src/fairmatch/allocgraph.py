@@ -359,14 +359,20 @@ def graph_to_dot(graph: AllocationGraph, instance: Instance) -> str:
     ]
     for idx, slot in enumerate(graph.slots):
         style = ' style=dashed' if slot.spare else ""
-        label = f"{instance.agents[slot.agent].name}:{slot.position}"
+        label = f"{_dot_escape(instance.agents[slot.agent].name)}:{slot.position}"
         lines.append(f'  s{idx} [label="{label}"{style}];')
     for j, label in enumerate(graph.right_labels):
         style = ' style=dashed' if graph.is_dummy_item(j) else ""
-        lines.append(f'  i{j} [label="{label}" shape=ellipse{style}];')
+        lines.append(f'  i{j} [label="{_dot_escape(label)}" shape=ellipse{style}];')
     for i in range(graph.left_count):
         for j, rank in zip(graph.adjacency[i], graph.ranks[i]):
             style = ' style=dashed' if graph.is_dummy_item(j) else ""
             lines.append(f'  s{i} -- i{j} [label="{rank}"{style}];')
     lines.append("}")
     return "\n".join(lines) + "\n"
+
+
+def _dot_escape(name: str) -> str:
+    # in a quoted DOT label a double quote ends the string and a backslash
+    # starts an escape such as \n, so both are escaped, the backslash first
+    return name.replace("\\", "\\\\").replace('"', '\\"')

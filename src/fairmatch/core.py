@@ -20,6 +20,7 @@ from __future__ import annotations
 import json
 import math
 import random
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -42,15 +43,23 @@ class FormatError(ValueError):
     """Structurally malformed input file (unknown fields, bad types, ...)."""
 
 
+_RATIONAL = re.compile(r"-?[0-9]+(?:/[0-9]+)?")
+
+
 def parse_rational(text: str) -> Fraction:
-    """Parse an exact rational from a ``"p/q"`` or integer string."""
+    """Parse an exact rational from a ``"p/q"`` or integer string.
+
+    Only ASCII digits, an optional leading ``-`` and one ``/`` are
+    accepted: ``int`` alone would also take spaces, ``+``, ``_`` and
+    non-ASCII digits.
+    """
     if not isinstance(text, str):
         raise FormatError(f"expected rational string, got {text!r}")
+    if not _RATIONAL.fullmatch(text):
+        raise FormatError(f"bad rational {text!r}: expected p/q or an integer")
+    num, _, den = text.partition("/")
     try:
-        if "/" in text:
-            num, den = text.split("/")
-            return Fraction(int(num), int(den))
-        return Fraction(int(text))
+        return Fraction(int(num), int(den or 1))
     except (ValueError, ZeroDivisionError) as exc:
         raise FormatError(f"bad rational {text!r}: {exc}") from exc
 
@@ -97,9 +106,6 @@ class Instance:
     def position(self, agent: int, item: str) -> int:
         """1-based position of ``item`` in agent's ranking (semantics per kind)."""
         return self._positions[agent][item]
-
-    def item_at(self, agent: int, position: int) -> str:
-        return self.agents[agent].ranking[position - 1]
 
     def entitlement(self, agent: int) -> Fraction:
         return self.agents[agent].entitlement

@@ -2,15 +2,15 @@
 
 This module bundles every matching primitive the library needs:
 
-* maximum-cardinality bipartite matching: Hopcroft-Karp over the adjacency
-  lists, in pure Python;
+* maximum-cardinality bipartite matching: Hopcroft-Karp over plain
+  adjacency rows, in pure Python, serving both a graph's adjacency and the
+  rows of each decomposition round;
 * one exact minimum-cost matching kernel: successive shortest paths with
   Dijkstra over the sparse adjacency lists and integer potentials, where
   a right vertex may take several left vertices up to its capacity (the
   spare slots of one agent as one vertex).  It serves both exact
-  assignment (rational costs scaled once to integers, lexicographic cost
-  vectors read as digits of one integer) and rank-maximal matching (an
-  edge of rank ``r`` weighs ``B**(w - r)``);
+  assignment (rational costs scaled once to integers) and rank-maximal
+  matching (an edge of rank ``r`` weighs ``B**(w - r)``);
 * rank-maximal perfect matchings, signatures, slot-order normalization;
 * picking-sequence extraction from a rank-maximal matching;
 * Birkhoff-von Neumann decomposition of exact doubly stochastic matrices,
@@ -28,7 +28,7 @@ import heapq
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 from .allocgraph import AllocationGraph, BipartiteGraph
 from .core import Instance, IntegralAllocation
@@ -64,9 +64,6 @@ class Matching:
     def left_map(self) -> dict[int, int]:
         return {i: j for i, j in self.pairs}
 
-    def right_map(self) -> dict[int, int]:
-        return {j: i for i, j in self.pairs}
-
     def __len__(self) -> int:
         return len(self.pairs)
 
@@ -83,45 +80,17 @@ class PickingSequence:
     slots: tuple[int, ...]
 
 
-class LexCost:
-    """Per-rank count vector ordered lexicographically; addition is componentwise."""
-
-    __slots__ = ("counts",)
-
-    def __init__(self, counts: Sequence[int]):
-        self.counts = tuple(int(c) for c in counts)
-
-    @classmethod
-    def unit(cls, rank: int, width: int) -> "LexCost":
-        counts = [0] * width
-        counts[rank - 1] = 1
-        return cls(counts)
-
-    def __add__(self, other: "LexCost") -> "LexCost":
-        return LexCost(tuple(a + b for a, b in zip(self.counts, other.counts)))
-
-    def __sub__(self, other: "LexCost") -> "LexCost":
-        return LexCost(tuple(a - b for a, b in zip(self.counts, other.counts)))
-
-    def __lt__(self, other: "LexCost") -> bool:
-        return self.counts < other.counts
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, LexCost) and self.counts == other.counts
-
-    def __hash__(self) -> int:
-        return hash(self.counts)
-
-    def __repr__(self) -> str:
-        return f"LexCost{self.counts}"
-
-
 # ---------------------------------------------------------------------------
 # Maximum-cardinality matching
 # ---------------------------------------------------------------------------
 
-def max_matching(graph: BipartiteGraph) -> Matching:
+def max_matching(adjacency: Sequence[Iterable[int]], right_count: int) -> Matching:
     """Maximum-cardinality matching by Hopcroft-Karp; deterministic.
+
+    Left vertex ``i`` is adjacent to the right vertices that
+    ``adjacency[i]`` yields, in ascending order, each below
+    ``right_count``; the rows are only read, so a graph's ``adjacency``
+    and the ``{column: entry}`` rows of :func:`bvn_decompose` both serve.
 
     Each phase layers the left vertices by a BFS from the free ones, in
     index order; ``up`` is the first layer whose scan reaches a free right
@@ -136,14 +105,13 @@ def max_matching(graph: BipartiteGraph) -> Matching:
     :func:`bvn_decompose`, and so every lottery, depends on which perfect
     matching each round finds.
     """
-    adjacency = graph.adjacency
-    left = graph.left_count
+    left = len(adjacency)
     inf = left + 1
     mate = [-1] * left  # right vertex matched to each left vertex
-    owner = [-1] * graph.right_count  # left vertex matched to each right one
+    owner = [-1] * right_count  # left vertex matched to each right one
     size = 0
     # a matching that covers one side is maximum: skip the last, empty phase
-    while size < min(left, graph.right_count):
+    while size < min(left, right_count):
         free = [i for i in range(left) if mate[i] < 0]
         dist = [inf] * left
         for i in free:
@@ -291,13 +259,6 @@ def _min_cost_matching(
     return mate
 
 
-def _lex_to_int(counts: Sequence[int], base: int) -> int:
-    value = 0
-    for c in counts:
-        value = value * base + c
-    return value
-
-
 def assignment_min_cost(
     graph: BipartiteGraph,
     cost: Callable[[int, int], object],
@@ -306,13 +267,10 @@ def assignment_min_cost(
 ) -> Matching:
     """Perfect matching minimizing the total edge cost, exactly.
 
-    ``cost`` must be defined on every edge of the graph and return either
-    exact integers/rationals or :class:`LexCost` vectors of a common
-    width.  Integers are used as they are; rationals are scaled once by
-    the least common multiple of their denominators; lex vectors are read
-    as digits of one integer in a base wider than any difference of two
-    matching totals, which keeps their order.  Ties break
-    deterministically by vertex order.
+    ``cost`` must be defined on every edge of the graph and return exact
+    integers or rationals.  Integers are used as they are; rationals are
+    scaled once by the least common multiple of their denominators.  Ties
+    break deterministically by vertex order.
 
     Without ``capacity`` the graph must be balanced.  With it, right
     vertex ``j`` takes up to ``capacity[j]`` left vertices, so it may
@@ -333,13 +291,7 @@ def assignment_min_cost(
     values = [c for row in rows for c in row]
     if not values:
         raise NoPerfectMatching("graph has no edges")
-    if isinstance(values[0], LexCost):
-        width = len(values[0].counts)
-        if any(not isinstance(c, LexCost) or len(c.counts) != width for c in values):
-            raise ValueError("all LexCost values must share one width")
-        base = 2 * p * max((abs(x) for c in values for x in c.counts), default=0) + 1
-        rows = [[_lex_to_int(c.counts, base) for c in row] for row in rows]
-    elif not all(isinstance(c, int) for c in values):
+    if not all(isinstance(c, int) for c in values):
         denom = math.lcm(*(Fraction(c).denominator for c in values))
         rows = [[int(Fraction(c) * denom) for c in row] for row in rows]
     if maximize:
@@ -523,7 +475,8 @@ def bvn_decompose(
         work.append(entries)
     denom = math.lcm(*(x.denominator for row in work for x in row.values()))
     # scaled in place; built in ascending column order and only ever shrunk,
-    # so the keys of every row stay sorted, as a graph's adjacency must be
+    # so the keys of every row stay sorted and each round hands the rows to
+    # :func:`max_matching` as they are
     for row in work:
         for j, x in row.items():
             row[j] = x.numerator * (denom // x.denominator)
@@ -536,19 +489,11 @@ def bvn_decompose(
     if any(total != denom for total in column_sums):
         raise NotDoublyStochastic("a column does not sum to 1")
 
-    labels = tuple(str(i) for i in range(p))
     bound = p * p - p + 2
     parts: list[tuple[int, tuple[int, ...]]] = []
     remaining = denom
     while remaining > 0:
-        adjacency = tuple(tuple(row) for row in work)
-        support = BipartiteGraph(
-            left_labels=labels,
-            right_labels=labels,
-            adjacency=adjacency,
-            ranks=tuple((1,) * len(adj) for adj in adjacency),
-        )
-        match = max_matching(support)
+        match = max_matching(work, p)
         if len(match) != p:
             raise MatchingInternalError(
                 "doubly stochastic support lost its perfect matching"
@@ -698,7 +643,7 @@ def perfect_allocation(instance: Instance) -> IntegralAllocation:
     from .allocgraph import build_allocation_graph, spare_slot_count
 
     graph = build_allocation_graph(instance)
-    match = max_matching(graph)
+    match = max_matching(graph.adjacency, graph.right_count)
     if instance.kind == "chores":
         if len(match) != instance.m:
             raise MatchingInternalError(

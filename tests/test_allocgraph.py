@@ -2,6 +2,7 @@
 
 import math
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -391,3 +392,20 @@ def test_dot_export():
     assert dot.startswith("graph allocation {")
     assert "style=dashed" in dot
     assert dot.rstrip().endswith("}")
+
+
+def test_dot_labels_escape_quotes_and_backslashes():
+    quoted = r'"(?:[^"\\]|\\.)*"'
+    items = ['a"b', "c\\d", 'e\\"f']
+    inst = make("goods", items, [('x"y\\', Fraction(1, 2), items), ("z", Fraction(1, 2), items)])
+    plain = build_allocation_graph(inst)
+    for graph in (plain, extend_allocation_graph(plain, inst)):
+        names = set()
+        for line in graph_to_dot(graph, inst).splitlines():
+            if "label=" in line:
+                # one quoted string, followed by nothing but attributes
+                found = re.search(rf"label=({quoted})( shape=ellipse)?( style=dashed)?\];$", line)
+                assert found, line
+                names.add(re.sub(r"\\(.)", r"\1", found.group(1)[1:-1]))
+        assert set(items) <= names
+        assert 'x"y\\:1' in names

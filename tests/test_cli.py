@@ -286,6 +286,40 @@ def test_duplicate_agent_names_exit_two(tmp_path, capsys):
     assert "'a'" in err
 
 
+def test_entitlement_outside_the_rational_grammar_exits_two(tmp_path, capsys):
+    inst, _ = write_identical_chores(tmp_path)
+    data = json.loads(dump_instance(inst))
+    for bad in ("1_0/2_0", " +1/2", "\uff11/\uff12", "1/-2"):
+        data["agents"][0]["entitlement"] = bad
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(data), encoding="utf-8")
+        code, out, err = run(capsys, "solve", str(path))
+        assert code == 2 and out == "", bad
+        assert err.startswith("error:") and err.count("\n") == 1, bad
+
+
+def test_output_file_is_utf8_under_an_ascii_locale(tmp_path):
+    import fairmatch
+
+    items = ["\u00e9", "b"]
+    inst = validate_instance(
+        "goods", items, [("a1", Fraction(1, 2), items), ("a2", Fraction(1, 2), items)]
+    )
+    inst_path = tmp_path / "inst.json"
+    inst_path.write_text(dump_instance(inst), encoding="utf-8")
+    out_path = tmp_path / "out.txt"
+    src = str(Path(fairmatch.__file__).resolve().parents[1])
+    env = dict(os.environ, LC_ALL="C", PYTHONUTF8="0")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "fairmatch.cli", "graph", str(inst_path), "-o", str(out_path)],
+        capture_output=True,
+        env=env,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert "item 0 \u00e9" in out_path.read_bytes().decode("utf-8")
+
+
 def test_non_utf8_instance_exits_two(tmp_path, capsys):
     path = tmp_path / "utf16.json"
     path.write_bytes(b"\xff\xfe{")

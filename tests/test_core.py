@@ -224,7 +224,9 @@ def test_rational_round_trip():
 
 
 def test_parse_rational_rejects_garbage():
-    for bad in ("", "x", "1/0", "1.5", "1/2/3"):
+    # int() alone takes underscores, signs, spaces and non-ASCII digits
+    for bad in ("", "x", "1/0", "1.5", "1/2/3", "1_0/2_0", " +1/2", "+1", "1 ",
+                "\uff11/\uff12", "1/-2", "--1", "1/", "/2"):
         with pytest.raises(FormatError):
             parse_rational(bad)
 
