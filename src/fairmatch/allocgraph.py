@@ -18,11 +18,13 @@ preferred item rank 1 for both kinds (for chores the rank of a real item is
 order so that they sort after every real item.
 
 One agent's slot neighbourhoods are nested: prefixes of its ranking for
-goods, suffixes for chores.  The builder therefore grows one sorted row
-per agent through them and copies it once per slot.  A rank depends only
-on the agent and the item, so an allocation graph keeps each agent's
-items best first and builds the per-edge ranks on first read; plain
-``solve`` never reads them.
+goods, suffixes for chores, so prefixes of its items best first either
+way.  :func:`slot_reaches` yields those items and the prefix length of
+each slot; plain ``solve`` matches on the prefixes as they are and builds
+no graph.  The builder grows one sorted row per agent through them and
+copies it once per slot.  A rank depends only on the agent and the item,
+so an allocation graph keeps each agent's items best first and builds the
+per-edge ranks on first read.
 """
 
 from __future__ import annotations
@@ -30,6 +32,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_left
 from dataclasses import dataclass
+from typing import Iterator
 
 from .core import CHORES, Instance
 
@@ -51,6 +54,9 @@ class BipartiteGraph:
 
     ``adjacency[i]`` lists right-vertex indices adjacent to left vertex
     ``i`` in ascending order, ``ranks[i]`` the aligned matching-ranks.
+    A graph built only for a kernel that reads no ranks, such as the
+    item-side graph of :func:`fairmatch.optimize.optimize_allocation`,
+    has ``ranks == ()``.
     """
 
     left_labels: tuple[str, ...]
@@ -205,36 +211,53 @@ def matching_rank(instance: Instance, agent: int, item: str) -> int:
     return pos
 
 
-def build_allocation_graph(instance: Instance) -> AllocationGraph:
-    """Build the plain allocation graph of an instance.
+def slot_reaches(
+    instance: Instance,
+) -> Iterator[tuple[tuple[int, ...], tuple[int, ...]]]:
+    """Each agent's item indices best first, and the reach of each of its slots.
 
-    Slots are ordered agent-major with positions ascending; items keep
-    instance order.  Chores edges go to positions >= the slot threshold,
-    goods edges to positions <= it.  Either way a slot reaches a prefix of
-    its agent's items ordered best first (by matching-rank), and the
-    prefixes of one agent are nested.  So each agent grows one sorted row
-    through them, in order of growing reach (ascending slots for goods,
-    descending for chores), and each slot keeps a copy.  The ranks are
-    built on first read (see :class:`AllocationGraph`).
+    Yields one ``(best_first, reaches)`` pair per agent, in agent order.
+    ``best_first`` lists the item indices by matching-rank (the ranking
+    for goods, reversed for chores).  ``reaches[l - 1]`` is the number of
+    items slot ``l`` reaches: chores edges go to positions >= the slot
+    threshold, goods edges to positions <= it, so either way slot ``l``
+    reaches the prefix ``best_first[:reaches[l - 1]]``.  Reaches grow
+    with the slot position for goods and shrink with it for chores.
     """
     m = instance.m
     chores = instance.kind == CHORES
     item_index = {item: j for j, item in enumerate(instance.items)}
+    for i, agent in enumerate(instance.agents):
+        ranking = reversed(agent.ranking) if chores else agent.ranking
+        best_first = tuple(map(item_index.__getitem__, ranking))
+        a, b = agent.entitlement.numerator, agent.entitlement.denominator
+        reaches = []
+        for ell in range(1, slot_count(instance, i) + 1):
+            bound = _threshold(instance.kind, a, b, ell)
+            reaches.append(m + 1 - max(1, bound) if chores else min(m, bound))
+        yield best_first, tuple(reaches)
+
+
+def build_allocation_graph(instance: Instance) -> AllocationGraph:
+    """Build the plain allocation graph of an instance.
+
+    Slots are ordered agent-major with positions ascending; items keep
+    instance order.  Each slot reaches a prefix of its agent's items
+    ordered best first (see :func:`slot_reaches`), and the prefixes of
+    one agent are nested.  So each agent grows one sorted row through
+    them, in order of growing reach (ascending slots for goods, descending
+    for chores), and each slot keeps a copy.  The ranks are built on first
+    read (see :class:`AllocationGraph`).
+    """
+    chores = instance.kind == CHORES
     slots: list[Slot] = []
     adjacency: list[tuple[int, ...]] = []
     preferences: list[tuple[int, ...]] = []
-    for i, agent in enumerate(instance.agents):
-        best_first = list(map(item_index.__getitem__, agent.ranking))
-        if chores:
-            best_first.reverse()
-        a, b = agent.entitlement.numerator, agent.entitlement.denominator
-        count = slot_count(instance, i)
+    for i, (best_first, reaches) in enumerate(slot_reaches(instance)):
         rows: list[tuple[int, ...]] = []
         row: list[int] = []
         reached = 0
-        for ell in range(count, 0, -1) if chores else range(1, count + 1):
-            bound = _threshold(instance.kind, a, b, ell)
-            reach = m + 1 - max(1, bound) if chores else min(m, bound)
+        for reach in reversed(reaches) if chores else reaches:
             row += best_first[reached:reach]
             row.sort()
             rows.append(tuple(row))
@@ -242,8 +265,8 @@ def build_allocation_graph(instance: Instance) -> AllocationGraph:
         if chores:
             rows.reverse()
         adjacency += rows
-        slots += (Slot(agent=i, position=ell) for ell in range(1, count + 1))
-        preferences.append(tuple(best_first))
+        slots += (Slot(agent=i, position=ell) for ell in range(1, len(reaches) + 1))
+        preferences.append(best_first)
     return AllocationGraph(
         left_labels=tuple(_slot_label(s) for s in slots),
         right_labels=instance.items,
@@ -251,7 +274,7 @@ def build_allocation_graph(instance: Instance) -> AllocationGraph:
         ranks=None,
         kind=instance.kind,
         slots=tuple(slots),
-        real_item_count=m,
+        real_item_count=instance.m,
         extended=False,
         preferences=tuple(preferences),
     )

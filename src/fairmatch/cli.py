@@ -40,8 +40,15 @@ def _read(path: str) -> str:
 def _emit(text: str, out: str | None) -> None:
     if out:
         Path(out).write_text(text, encoding="utf-8")
-    else:
+        return
+    # stdout's text layer encodes in the locale's encoding, which may not
+    # cover every name, so the text goes to its byte layer as UTF-8
+    buffer = getattr(sys.stdout, "buffer", None)
+    if buffer is None:
         sys.stdout.write(text)
+    else:
+        sys.stdout.flush()
+        buffer.write(text.encode("utf-8"))
 
 
 def _emit_json(data: object, out: str | None) -> None:
@@ -114,9 +121,9 @@ def cmd_verify(args: argparse.Namespace) -> int:
     try:
         report = fairness.check_allocation(instance, allocation)
     except fairness.MalformedAllocation as exc:
-        sys.stdout.write(f"malformed allocation: {exc}\noverall: FAIL\n")
+        _emit(f"malformed allocation: {exc}\noverall: FAIL\n", None)
         return 1
-    sys.stdout.write(fairness.render_report(instance, report))
+    _emit(fairness.render_report(instance, report), None)
     return 0 if report.passes else 1
 
 

@@ -20,7 +20,6 @@ of all fair allocations on small instances.
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
@@ -79,46 +78,42 @@ def check_bundle(instance: Instance, agent: int, bundle: Iterable[str]) -> Bundl
     level ``l`` values exactly the ranking prefix that the offending item
     fails to reach.
     """
-    alpha = instance.entitlement(agent)
-    m = instance.m
     positions = sorted(instance.position(agent, item) for item in bundle)
-    size = len(positions)
-    if instance.kind == CHORES:
-        if size > math.floor(m * alpha) + 1:
-            return BundleReport(
-                agent=agent,
-                passes=False,
-                condition="CountBound",
-                witness=StepValuation(threshold=m),
-            )
-        for ell, r in enumerate(positions, start=1):
-            bound = math.ceil(Fraction(ell - 1) / alpha)
-            if r < bound:
-                return BundleReport(
-                    agent=agent,
-                    passes=False,
-                    condition="RankBound",
-                    position=ell,
-                    witness=StepValuation(threshold=bound - 1),
-                )
+    return _check_positions(instance, agent, positions)
+
+
+def _check_positions(instance: Instance, agent: int, positions: list[int]) -> BundleReport:
+    # the bounds of the module docstring in integers, for alpha = a/b
+    alpha = instance.entitlement(agent)
+    a, b = alpha.numerator, alpha.denominator
+    m = instance.m
+    chores = instance.kind == CHORES
+    if chores:
+        count_fails = len(positions) > m * a // b + 1
     else:
-        if size < math.ceil(m * alpha) - 1:
+        count_fails = len(positions) < -(-m * a // b) - 1
+    if count_fails:
+        return BundleReport(
+            agent=agent,
+            passes=False,
+            condition="CountBound",
+            witness=StepValuation(threshold=m),
+        )
+    for ell, r in enumerate(positions, start=1):
+        if chores:
+            bound = -(-(ell - 1) * b // a)
+            failed, threshold = r < bound, bound - 1
+        else:
+            bound = ell * b // a + 1
+            failed, threshold = r > bound, bound
+        if failed:
             return BundleReport(
                 agent=agent,
                 passes=False,
-                condition="CountBound",
-                witness=StepValuation(threshold=m),
+                condition="RankBound",
+                position=ell,
+                witness=StepValuation(threshold=threshold),
             )
-        for ell, r in enumerate(positions, start=1):
-            bound = math.floor(Fraction(ell) / alpha) + 1
-            if r > bound:
-                return BundleReport(
-                    agent=agent,
-                    passes=False,
-                    condition="RankBound",
-                    position=ell,
-                    witness=StepValuation(threshold=bound),
-                )
     return BundleReport(agent=agent, passes=True)
 
 
@@ -129,7 +124,9 @@ def check_allocation(
 
     Raises :class:`MalformedAllocation` when bundles overlap, mention
     unknown items, have the wrong agent count, or (for chores) fail to
-    cover every item.  Goods allocations may be partial.
+    cover every item.  Goods allocations may be partial.  Each agent's
+    in-bundle positions come sorted from one pass over its ranking, and
+    the verdicts and witnesses are those of :func:`check_bundle`.
     """
     if len(allocation.bundles) != instance.n:
         raise MalformedAllocation(
@@ -147,8 +144,14 @@ def check_allocation(
     if instance.kind == CHORES and seen != item_set:
         missing = sorted(item_set - seen)
         raise MalformedAllocation(f"chores left unallocated: {missing}")
+    positions = range(1, instance.m + 1)
     reports = tuple(
-        check_bundle(instance, i, allocation.bundles[i]) for i in range(instance.n)
+        _check_positions(
+            instance,
+            i,
+            list(itertools.compress(positions, map(bundle.__contains__, agent.ranking))),
+        )
+        for i, (agent, bundle) in enumerate(zip(instance.agents, allocation.bundles))
     )
     return AllocationReport(reports=reports, passes=all(r.passes for r in reports))
 

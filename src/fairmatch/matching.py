@@ -3,8 +3,8 @@
 This module bundles every matching primitive the library needs:
 
 * maximum-cardinality bipartite matching: Hopcroft-Karp over plain
-  adjacency rows, in pure Python, serving both a graph's adjacency and the
-  rows of each decomposition round;
+  adjacency rows, in pure Python, serving both the best-first slot
+  prefixes of a plain solve and the rows of each decomposition round;
 * one exact minimum-cost matching kernel: successive shortest paths with
   Dijkstra over the sparse adjacency lists and integer potentials, where
   a right vertex may take several left vertices up to its capacity (the
@@ -88,22 +88,24 @@ def max_matching(adjacency: Sequence[Iterable[int]], right_count: int) -> Matchi
     """Maximum-cardinality matching by Hopcroft-Karp; deterministic.
 
     Left vertex ``i`` is adjacent to the right vertices that
-    ``adjacency[i]`` yields, in ascending order, each below
-    ``right_count``; the rows are only read, so a graph's ``adjacency``
+    ``adjacency[i]`` yields, each below ``right_count``, and every scan
+    of a row reads them in the order it yields them.  The rows are only
+    read, so the best-first slot prefixes of :func:`perfect_allocation`
     and the ``{column: entry}`` rows of :func:`bvn_decompose` both serve.
 
     Each phase layers the left vertices by a BFS from the free ones, in
     index order; ``up`` is the first layer whose scan reaches a free right
     vertex.  Phases stop when no layer does or when one side is covered.
     Then each free left vertex, in index order, runs a depth-first search
-    with a LIFO stack.  A popped vertex scans its neighbours in ascending
+    with a LIFO stack.  A popped vertex scans its neighbours in row
     order: a free right vertex ends the search if the vertex sits one
     layer short of ``up``; otherwise every matched row on the next layer
     that this search has not visited is pushed.  A vertex whose scan finds
     nothing leaves the layering for the rest of the phase.  The first
     phase is the greedy pass.  Keep this order: the decomposition in
     :func:`bvn_decompose`, and so every lottery, depends on which perfect
-    matching each round finds.
+    matching each round finds; it passes rows in ascending column order,
+    which pins the lotteries.
     """
     left = len(adjacency)
     inf = left + 1
@@ -631,6 +633,13 @@ def enumerate_side_perfect_matchings(
 def perfect_allocation(instance: Instance) -> IntegralAllocation:
     """A fair allocation via a side-perfect matching of the plain graph.
 
+    Every slot is matched on its row as :func:`~fairmatch.allocgraph.slot_reaches`
+    gives it, a prefix of its agent's items best first, with no graph
+    built.  The slots go to :func:`max_matching` narrowest first (a stable
+    sort on the reach, so ties stay agent-major), which makes the greedy
+    first phase give the most constrained slots their best free items
+    and leaves little for the augmenting phases.
+
     Chores: a matching saturating every chore always exists; its slot
     owners define a complete allocation.  Goods: a matching saturating
     every slot always exists and yields a partial allocation, which is then
@@ -640,29 +649,32 @@ def perfect_allocation(instance: Instance) -> IntegralAllocation:
     next ``q``, and so on); any completion of a fair partial allocation
     stays fair.
     """
-    from .allocgraph import build_allocation_graph, spare_slot_count
+    from .allocgraph import slot_reaches, spare_slot_count
 
-    graph = build_allocation_graph(instance)
-    match = max_matching(graph.adjacency, graph.right_count)
+    slots: list[tuple[tuple[int, ...], int]] = []  # (row, agent)
+    for i, (best_first, reaches) in enumerate(slot_reaches(instance)):
+        slots += ((best_first[:reach], i) for reach in reaches)
+    slots.sort(key=lambda slot: len(slot[0]))
+    match = max_matching([row for row, _ in slots], instance.m)
+    bundles: list[set[str]] = [set() for _ in range(instance.n)]
+    for k, j in match.pairs:
+        bundles[slots[k][1]].add(instance.items[j])
     if instance.kind == "chores":
         if len(match) != instance.m:
             raise MatchingInternalError(
                 "no chore-perfect matching found; the construction guarantees one"
             )
-        return allocation_from_matching(match, graph, instance)
-    if len(match) != graph.left_count:
-        raise MatchingInternalError(
-            "no slot-perfect matching found; the construction guarantees one"
-        )
-    allocation = allocation_from_matching(match, graph, instance)
-    matched_items = {j for _, j in match.pairs}
-    leftovers = [j for j in range(instance.m) if j not in matched_items]
-    if leftovers:
-        q = spare_slot_count(instance)
-        if len(leftovers) > instance.n * q:
-            raise MatchingInternalError("not enough spare slots to complete")
-        bundles = [set(b) for b in allocation.bundles]
-        for k, j in enumerate(leftovers):
-            bundles[k // q].add(instance.items[j])
-        allocation = IntegralAllocation(bundles=tuple(frozenset(b) for b in bundles))
-    return allocation
+    else:
+        if len(match) != len(slots):
+            raise MatchingInternalError(
+                "no slot-perfect matching found; the construction guarantees one"
+            )
+        matched_items = {j for _, j in match.pairs}
+        leftovers = [j for j in range(instance.m) if j not in matched_items]
+        if leftovers:
+            q = spare_slot_count(instance)
+            if len(leftovers) > instance.n * q:
+                raise MatchingInternalError("not enough spare slots to complete")
+            for k, j in enumerate(leftovers):
+                bundles[k // q].add(instance.items[j])
+    return IntegralAllocation(bundles=tuple(frozenset(b) for b in bundles))

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping
 
-from .allocgraph import BipartiteGraph, build_allocation_graph, matching_rank, spare_slot_count
+from .allocgraph import BipartiteGraph, build_allocation_graph, spare_slot_count
 from .core import GOODS, FormatError, Instance, IntegralAllocation, parse_rational
 from .matching import MatchingInternalError, assignment_min_cost
 
@@ -77,24 +77,22 @@ def optimize_allocation(
     agent_of = [slot.agent for slot in plain.slots]
     capacity = [1] * real
     columns: list[list[int]] = [[] for _ in range(m)]
-    ranks: list[list[int]] = [[] for _ in range(m)]
-    for s, (adj, row) in enumerate(zip(plain.adjacency, plain.ranks)):
-        for j, r in zip(adj, row):
+    for s, adj in enumerate(plain.adjacency):
+        for j in adj:
             columns[j].append(s)
-            ranks[j].append(r)
     q = spare_slot_count(instance) if instance.kind == GOODS else 0
     if q:
         labels += (f"s'[{i + 1}]" for i in range(instance.n))
         agent_of += range(instance.n)
         capacity += [q] * instance.n
-        for j, item in enumerate(instance.items):
-            columns[j] += range(real, real + instance.n)
-            ranks[j] += (matching_rank(instance, i, item) for i in range(instance.n))
+        for column in columns:
+            column += range(real, real + instance.n)
+    # the kernel reads costs, not ranks, so the graph carries none
     graph = BipartiteGraph(
         left_labels=instance.items,
         right_labels=tuple(labels),
         adjacency=tuple(map(tuple, columns)),
-        ranks=tuple(map(tuple, ranks)),
+        ranks=(),
     )
     # goods must fill every real slot: the offset exceeds the gap between
     # the raw costs of any two item-covering assignments, so taking it off

@@ -14,6 +14,7 @@ from fairmatch.allocgraph import (
     graph_to_text,
     ranked_graph,
     slot_count,
+    slot_reaches,
     slot_threshold,
     spare_slot_count,
 )
@@ -349,6 +350,26 @@ def test_graphs_equal_the_per_slot_construction(kind):
                     math.ceil(Fraction(ell - 1) / alpha) if kind == "chores"
                     else math.floor(Fraction(ell) / alpha) + 1
                 )
+
+
+@pytest.mark.parametrize("kind", ["goods", "chores"])
+def test_slot_prefixes_hold_the_graph_rows(kind):
+    for n, m in [(1, 0), (1, 5), (3, 2), (3, 9), (7, 3), (8, 40), (20, 100)]:
+        for seed in range(20):
+            inst = generate_instance(n, m, kind, seed)
+            graph = build_allocation_graph(inst)
+            agents = list(slot_reaches(inst))
+            assert tuple(best_first for best_first, _ in agents) == graph.preferences
+            prefixes = [
+                (i, best_first[:reach])
+                for i, (best_first, reaches) in enumerate(agents)
+                for reach in reaches
+            ]
+            assert len(prefixes) == graph.left_count, (n, m, seed)
+            for slot, row, (agent, prefix) in zip(graph.slots, graph.adjacency, prefixes):
+                assert slot.agent == agent
+                assert len(set(prefix)) == len(prefix) == len(row)
+                assert set(prefix) == set(row), (n, m, seed, slot)
 
 
 def test_ranks_are_built_on_first_read_and_kept():

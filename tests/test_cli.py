@@ -320,6 +320,44 @@ def test_output_file_is_utf8_under_an_ascii_locale(tmp_path):
     assert "item 0 \u00e9" in out_path.read_bytes().decode("utf-8")
 
 
+def test_stdout_is_utf8_under_an_ascii_locale(tmp_path):
+    import fairmatch
+
+    items = ["\u00e9", "b"]
+    inst = validate_instance(
+        "goods", items, [("\u00e5sa", Fraction(1, 2), items), ("a2", Fraction(1, 2), items)]
+    )
+    inst_path = tmp_path / "inst.json"
+    inst_path.write_text(dump_instance(inst), encoding="utf-8")
+    alloc_path = tmp_path / "alloc.json"
+    alloc_path.write_text(json.dumps({"\u00e5sa": ["\u00e9"], "a2": ["b"]}), encoding="utf-8")
+    src = str(Path(fairmatch.__file__).resolve().parents[1])
+    env = dict(os.environ, LC_ALL="C", PYTHONUTF8="0")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+
+    def fairmatch_stdout(*argv):
+        proc = subprocess.run(
+            [sys.executable, "-m", "fairmatch.cli", *argv], capture_output=True, env=env
+        )
+        assert proc.returncode == 0, proc.stderr
+        return proc.stdout.decode("utf-8")
+
+    assert "item 0 \u00e9" in fairmatch_stdout("graph", str(inst_path))
+    assert 'label="\u00e9"' in fairmatch_stdout("graph", str(inst_path), "--dot")
+    assert "agent \u00e5sa: PASS" in fairmatch_stdout("verify", str(inst_path), str(alloc_path))
+
+
+def test_stdout_redirected_to_a_text_stream(tmp_path):
+    # a text stream without a byte layer, as contextlib.redirect_stdout sets
+    import contextlib
+    import io
+
+    _, inst_path = write_identical_chores(tmp_path)
+    with contextlib.redirect_stdout(io.StringIO()) as out:
+        assert main(["graph", str(inst_path)]) == 0
+    assert out.getvalue().startswith("allocation-graph kind=chores")
+
+
 def test_non_utf8_instance_exits_two(tmp_path, capsys):
     path = tmp_path / "utf16.json"
     path.write_bytes(b"\xff\xfe{")

@@ -1,6 +1,7 @@
 """Tests for the fairness checkers, oracles and simulators."""
 
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -227,6 +228,55 @@ def test_failed_checks_carry_verifiable_witnesses():
                 assert not check_wprop1_cardinal(
                     inst.kind, bundle, values, inst.entitlement(i)
                 )
+
+
+def fraction_check_bundle(inst, i, bundle):
+    """The bundle conditions in exact rationals: (passes, condition, l, threshold)."""
+    alpha = inst.entitlement(i)
+    positions = sorted(inst.position(i, b) for b in bundle)
+    if inst.kind == "chores":
+        if len(positions) > math.floor(inst.m * alpha) + 1:
+            return False, "CountBound", None, inst.m
+        for ell, r in enumerate(positions, start=1):
+            bound = math.ceil(Fraction(ell - 1) / alpha)
+            if r < bound:
+                return False, "RankBound", ell, bound - 1
+    else:
+        if len(positions) < math.ceil(inst.m * alpha) - 1:
+            return False, "CountBound", None, inst.m
+        for ell, r in enumerate(positions, start=1):
+            bound = math.floor(Fraction(ell) / alpha) + 1
+            if r > bound:
+                return False, "RankBound", ell, bound
+    return True, None, None, None
+
+
+def test_check_allocation_reports_equal_per_bundle_checks():
+    rng = random.Random(23)
+    verdicts = {True: 0, False: 0}
+    for seed in range(60):
+        kind = "chores" if seed % 2 else "goods"
+        inst = generate_instance(1 + seed % 7, seed % 25, kind, seed)
+        for _ in range(8):
+            owners = [rng.randrange(inst.n) for _ in inst.items]
+            if kind == "goods" and rng.random() < 0.5:
+                # leave some goods out: goods allocations may be partial
+                owners = [a if rng.random() < 0.7 else None for a in owners]
+            bundles = tuple(
+                frozenset(b for b, a in zip(inst.items, owners) if a == i)
+                for i in range(inst.n)
+            )
+            report = check_allocation(inst, IntegralAllocation(bundles=bundles))
+            for i, entry in enumerate(report.reports):
+                single = check_bundle(inst, i, bundles[i])
+                assert entry == single
+                threshold = entry.witness.threshold if entry.witness else None
+                assert (
+                    entry.passes, entry.condition, entry.position, threshold
+                ) == fraction_check_bundle(inst, i, bundles[i])
+                verdicts[entry.passes] += 1
+            assert report.passes == all(r.passes for r in report.reports)
+    assert min(verdicts.values()) >= 200, verdicts
 
 
 # ---------------------------------------------------------------------------

@@ -891,6 +891,36 @@ def test_perfect_allocation_random_instances_verify():
                 assert sum(len(b) for b in alloc.bundles) == inst.m
 
 
+@pytest.mark.parametrize("kind", ["goods", "chores"])
+def test_perfect_allocation_matches_graph_rows_narrowest_first(kind, monkeypatch):
+    from fairmatch import matching
+
+    calls = []
+
+    def recording(adjacency, right_count):
+        match = max_matching(adjacency, right_count)
+        calls.append((adjacency, right_count, match))
+        return match
+
+    monkeypatch.setattr(matching, "max_matching", recording)
+    for n, m in [(1, 0), (1, 5), (3, 2), (3, 9), (7, 3), (8, 40), (20, 100)]:
+        for seed in range(10):
+            inst = generate_instance(n, m, kind, seed)
+            calls.clear()
+            alloc = perfect_allocation(inst)
+            [(rows, right_count, match)] = calls
+            graph = build_allocation_graph(inst)
+            assert right_count == m
+            # the same rows as the graph's, as sets, handed over narrowest first
+            assert sorted(map(sorted, rows)) == sorted(map(list, graph.adjacency))
+            widths = [len(row) for row in rows]
+            assert widths == sorted(widths)
+            # chores cover every chore, goods every slot
+            assert len(match) == (m if kind == "chores" else graph.left_count)
+            assert check_allocation(inst, alloc).passes
+            assert sum(len(b) for b in alloc.bundles) == m
+
+
 def test_enumerate_side_perfect_matchings_e1():
     graph = build_allocation_graph(e1())
     matchings = enumerate_side_perfect_matchings(graph, saturate="right")
