@@ -1,9 +1,12 @@
-"""Sequencible allocations from rank-maximal matchings.
+"""Sequencible allocations from Pareto-optimal matchings.
 
-Among all perfect matchings of the allocation graph, the rank-maximal one
-(lexicographically most rank-1 edges, then rank-2, ...) is special: its
-matched slots can be ordered so that greedy picking, each agent taking
-its most preferred remaining item, reproduces the matching exactly.  The
+Some perfect matchings of the allocation graph are special: no other one
+gives some slot a better item without giving another slot a worse one.
+The matched slots of such a Pareto-optimal matching can be ordered so
+that greedy picking, each agent taking its most preferred remaining
+item, reproduces the matching exactly.  The paper takes a rank-maximal
+matching (lexicographically most rank-1 edges, then rank-2, ...), which
+is one of them; the library finds one with a top trading pass.  The
 allocation is then explainable as the outcome of a simple turn order.
 """
 

@@ -61,6 +61,7 @@ from .matching import (
     extract_picking_sequence,
     max_matching,
     normalize_slot_order,
+    pareto_optimal_matching,
     perfect_allocation,
     rank_maximal_perfect_matching,
     signature,
@@ -112,6 +113,7 @@ __all__ = [
     "max_matching",
     "normalize_slot_order",
     "optimize_allocation",
+    "pareto_optimal_matching",
     "perfect_allocation",
     "rank_maximal_perfect_matching",
     "ranked_graph",

@@ -190,7 +190,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--seq",
         action="store_true",
-        help="use a rank-maximal matching and emit a picking sequence",
+        help="use a Pareto-optimal slot matching and emit a picking sequence",
     )
     p.add_argument("-o", "--output")
     p.set_defaults(func=cmd_solve)

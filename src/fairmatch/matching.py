@@ -11,8 +11,10 @@ This module bundles every matching primitive the library needs:
   spare slots of one agent as one vertex).  It serves both exact
   assignment (rational costs scaled once to integers) and rank-maximal
   matching (an edge of rank ``r`` weighs ``B**(w - r)``);
-* rank-maximal perfect matchings, signatures, slot-order normalization;
-* picking-sequence extraction from a rank-maximal matching;
+* rank-maximal perfect matchings (the paper's construction, kept as a
+  reference), signatures, slot-order normalization;
+* Pareto-optimal slot matchings by a top trading pass, with no costs,
+  and picking-sequence extraction from them;
 * Birkhoff-von Neumann decomposition of exact doubly stochastic matrices,
   given as sparse ``{column: entry}`` rows.
 
@@ -26,6 +28,7 @@ from __future__ import annotations
 
 import heapq
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, Mapping, Sequence
@@ -40,7 +43,7 @@ class NoPerfectMatching(ValueError):
 
 
 class NotRankMaximal(ValueError):
-    """Picking-sequence extraction certified the matching is not rank-maximal."""
+    """Picking-sequence extraction certified the matching is not Pareto-optimal for its slots."""
 
 
 class NotDoublyStochastic(ValueError):
@@ -349,6 +352,87 @@ def rank_maximal_perfect_matching(graph: BipartiteGraph) -> Matching:
 
 
 # ---------------------------------------------------------------------------
+# Pareto-optimal slot matching
+# ---------------------------------------------------------------------------
+
+def pareto_optimal_matching(graph: AllocationGraph) -> Matching:
+    """Slot-saturating matching that no other one makes better for a slot
+    without making it worse for another.
+
+    Abraham, Cechlárová, Manlove and Mehlhorn, "Pareto optimality in house
+    allocation problems" (ISAAC 2004), with no costs.  Each slot's row
+    lists its items best first: the prefix of its agent's preferences
+    that the slot reaches, then its dummy items in index order.  First a
+    maximum matching over those rows, handed to :func:`max_matching`
+    narrowest first as in :func:`perfect_allocation`.  Then one top
+    trading pass: each slot still in play points at its best item still
+    in play, through a pointer that only moves forward along its row.
+    Following slot, the item it points at, the slot holding that item,
+    and so on, either reaches a free item (a trade-in) or returns to a
+    slot on the path (a cycle).  Every slot of the trade-in path or of
+    the cycle takes the item it points at, and those slots and items
+    leave play; a trade-in frees the old item of its first slot.  Each
+    slot leaves with its best item still in play, so no matching is at
+    least as good for every slot and better for one.  Linear in the edges
+    after the maximum matching.
+
+    On a graph built from an instance the pass trades nothing: at most
+    ``r - 1`` goods slots reach ``r`` items or fewer, and at most
+    ``r + d - 1`` extended chores slots reach ``r`` real items or fewer
+    (``d`` dummies), so the greedy first phase of :func:`max_matching`
+    already gives every slot, narrowest first, its best free item.
+    """
+    m = graph.real_item_count
+    rows = []
+    for slot, adj in zip(graph.slots, graph.adjacency):
+        reach = bisect_left(adj, m)
+        rows.append(graph.preferences[slot.agent][:reach] + adj[reach:])
+    order = sorted(range(len(rows)), key=lambda s: len(rows[s]))
+    match = max_matching([rows[s] for s in order], graph.right_count)
+    if len(match) != len(rows):
+        raise NoPerfectMatching("graph admits no slot-saturating matching")
+    mate = [-1] * len(rows)  # item held by each slot
+    holder = [-1] * graph.right_count  # slot holding each item
+    for k, j in match.pairs:
+        mate[order[k]] = j
+        holder[j] = order[k]
+    point = [0] * len(rows)
+    gone = [False] * graph.right_count  # items out of play
+    path: list[int] = []  # a chain of slots, each pointing at the next one's item
+    on_path: dict[int, int] = {}  # slot -> its place in the path
+    for start in range(len(rows)):
+        if gone[mate[start]]:
+            continue  # left play with its final item
+        s = start
+        while True:
+            row, k = rows[s], point[s]
+            while gone[row[k]]:
+                k += 1
+            point[s] = k
+            on_path[s] = len(path)
+            path.append(s)
+            t = holder[row[k]]
+            if t >= 0 and t not in on_path:
+                s = t
+                continue
+            if t < 0:  # a trade-in: the first slot's item is freed
+                holder[mate[path[0]]] = -1
+                cut = 0
+            else:  # a cycle, closed at t
+                cut = on_path[t]
+            for s in path[cut:]:
+                j = rows[s][point[s]]
+                mate[s], holder[j], gone[j] = j, s, True
+                del on_path[s]
+            del path[cut:]
+            if not path:
+                break
+            s = path.pop()  # resume the chain that led into the cycle
+            del on_path[s]
+    return Matching(pairs=tuple(enumerate(mate)))
+
+
+# ---------------------------------------------------------------------------
 # Slot-order normalization and picking-sequence extraction
 # ---------------------------------------------------------------------------
 
@@ -391,15 +475,19 @@ def extract_picking_sequence(matching: Matching, graph: BipartiteGraph) -> Picki
 
     Repeatedly emits the first pending vertex, in (matched rank, index)
     order, that has no edge to a still available item it ranks better than
-    its own match.  A rank-maximal matching is Pareto-optimal for the left
-    vertices, and on an allocation graph every item a slot's agent ranks
-    above the slot's match is adjacent to the slot, so such a vertex always
-    exists, though not always among those of the lowest pending rank.  If
-    none does, the matching was not rank-maximal and
-    :class:`NotRankMaximal` is raised.  For allocation graphs the
-    dummy-matched slots are dropped (a dummy is worse than every real
-    item, so they come last); the remaining slots are replaced by their
-    owning agents.
+    its own match.  If none does, every pending vertex sees a better
+    available item: following vertex, that item, the vertex holding it,
+    and so on reaches an unmatched item or closes a cycle, and moving
+    every vertex on the way to the item it sees makes none worse and one
+    better.  So on a matching that is Pareto-optimal for the left vertices
+    (:func:`pareto_optimal_matching`, or a rank-maximal one) such a vertex
+    always exists, though not always among those of the lowest pending
+    rank; otherwise :class:`NotRankMaximal` is raised.  On an allocation
+    graph every item a slot's agent ranks above the slot's match is
+    adjacent to the slot, so a slot's pick is also its agent's.  For
+    allocation graphs the dummy-matched slots are dropped (a dummy is
+    worse than every real item, so they come last); the remaining slots
+    are replaced by their owning agents.
     """
     left_map = matching.left_map()
     if len(left_map) != graph.left_count:
@@ -422,7 +510,7 @@ def extract_picking_sequence(matching: Matching, graph: BipartiteGraph) -> Picki
         else:
             raise NotRankMaximal(
                 "no slot is free of better available items; "
-                "the matching is not rank-maximal"
+                "the matching is not Pareto-optimal for its slots"
             )
         del pending[k]
         available.discard(left_map[s])
@@ -540,15 +628,16 @@ def solve_with_sequence(
 ) -> tuple[IntegralAllocation, PickingSequence]:
     """Fair allocation together with a picking sequence that reproduces it.
 
-    Chores run the rank-maximal pipeline on the extended graph (rank-maximal
-    perfect matching, slot-order normalization, sequence extraction; the
-    dummy-matched slots form the dropped tail).  Goods run it on the plain
-    graph, whose slot-perfect rank-maximal matching yields a partial
-    allocation; the sequence is then continued round-robin over the agents
-    so that the leftover goods are picked too, which keeps the completed
-    allocation both fair and reproducible from the sequence.  Simulating
-    the returned sequence (:func:`fairmatch.fairness.simulate_picking_sequence`)
-    rebuilds the returned allocation item for item.
+    Chores extract the sequence from a Pareto-optimal perfect matching of
+    the extended graph (:func:`pareto_optimal_matching`); the
+    dummy-matched slots form the dropped tail.  Goods extract it from a
+    Pareto-optimal slot-perfect matching of the plain graph, which yields
+    a partial allocation; the sequence is then continued round-robin over
+    the agents so that the leftover goods are picked too, which keeps the
+    completed allocation both fair and reproducible from the sequence.
+    Simulating the returned sequence
+    (:func:`fairmatch.fairness.simulate_picking_sequence`) rebuilds the
+    returned allocation item for item.
     """
     from .allocgraph import build_allocation_graph, extend_allocation_graph
     from .core import CHORES, GOODS
@@ -558,8 +647,7 @@ def solve_with_sequence(
         graph = extend_allocation_graph(plain, instance)
     else:
         graph = plain
-    match = rank_maximal_perfect_matching(graph)
-    match = normalize_slot_order(match, graph)
+    match = pareto_optimal_matching(graph)
     sequence = extract_picking_sequence(match, graph)
     allocation = allocation_from_matching(match, graph, instance)
     if instance.kind == GOODS:

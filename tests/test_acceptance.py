@@ -199,7 +199,7 @@ def test_criterion_05_sequencibility_round_trip():
 
 
 def test_criterion_05b_sequence_at_scale():
-    # at 40x200 the rank-maximal matching runs on p = 224 (chores); the
+    # at 40x200 the Pareto-optimal matching runs on p = 224 (chores); the
     # whole solve_with_sequence call must stay well under 5 s per kind
     for kind in ("chores", "goods"):
         inst = generate_instance(40, 200, kind, 43)
@@ -214,6 +214,39 @@ def test_criterion_05b_sequence_at_scale():
             f"05b sequence at scale: PASS ({kind} 40x200, "
             f"{len(sequence.sequence)} picks in {elapsed:.2f}s)"
         )
+
+
+def test_criterion_05c_sequence_at_the_rank_maximal_cliffs():
+    # these took 10.1 s (goods) and 16.4 s (chores) while solve_with_sequence
+    # ran the big-integer rank-maximal kernel; the Pareto-optimal matching
+    # must keep each well under 5 s
+    for kind, n, m in [("goods", 100, 1000), ("chores", 120, 600)]:
+        inst = generate_instance(n, m, kind, 43)
+        start = time.monotonic()
+        allocation, sequence = solve_with_sequence(inst)
+        elapsed = time.monotonic() - start
+        assert elapsed < 5, f"solve_with_sequence {kind} {n}x{m} took {elapsed:.2f}s"
+        replay = simulate_picking_sequence(inst, sequence.sequence)
+        assert replay.bundles == allocation.bundles, kind
+        assert check_allocation(inst, allocation).passes, kind
+        report(
+            f"05c sequence at the old cliffs: PASS ({kind} {n}x{m}, "
+            f"{len(sequence.sequence)} picks in {elapsed:.2f}s)"
+        )
+
+
+def test_criterion_05d_sequence_replay_sweep():
+    cases = 0
+    for kind in ("goods", "chores"):
+        for n, m, seeds in [(12, 60, 20), (20, 100, 5)]:
+            for seed in range(seeds):
+                inst = generate_instance(n, m, kind, seed)
+                allocation, sequence = solve_with_sequence(inst)
+                replay = simulate_picking_sequence(inst, sequence.sequence)
+                assert replay.bundles == allocation.bundles, (kind, n, m, seed)
+                assert check_allocation(inst, allocation).passes, (kind, n, m, seed)
+                cases += 1
+    report(f"05d sequence replay sweep: PASS ({cases} instances)")
 
 
 def test_criterion_06_rank_maximality_brute_force():

@@ -398,9 +398,9 @@ def test_internal_error_exits_three(tmp_path, capsys, monkeypatch):
     from fairmatch import matching
 
     def broken(*args, **kwargs):
-        raise matching.NoPerfectMatching("graph admits no perfect matching")
+        return matching.Matching(pairs=())  # a kernel that matches nothing
 
-    monkeypatch.setattr(matching, "_min_cost_matching", broken)
+    monkeypatch.setattr(matching, "max_matching", broken)
     _, path = write_identical_chores(tmp_path)
     code, out, err = run(capsys, "solve", "--seq", str(path))
     assert code == 3 and out == ""

@@ -26,6 +26,7 @@ from fairmatch.matching import (
     extract_picking_sequence,
     max_matching,
     normalize_slot_order,
+    pareto_optimal_matching,
     perfect_allocation,
     rank_maximal_perfect_matching,
     signature,
@@ -625,6 +626,135 @@ def test_rank_maximal_matches_dense_lex_reference():
             new = rank_maximal_perfect_matching(graph)
             old = dense_lex_rank_maximal(graph)
             assert signature(new, graph) == signature(old, graph), (kind, seed)
+
+
+# ---------------------------------------------------------------------------
+# Pareto-optimal slot matchings
+# ---------------------------------------------------------------------------
+
+def sequence_graph(inst):
+    """The graph solve_with_sequence matches on: plain for goods, extended for chores."""
+    graph = build_allocation_graph(inst)
+    return extend_allocation_graph(graph, inst) if inst.kind == "chores" else graph
+
+
+def rank_vectors(graph):
+    """Every slot-saturating matching, with the rank each slot gives its item."""
+    ranks = [dict(zip(adj, r)) for adj, r in zip(graph.adjacency, graph.ranks)]
+    return {
+        match: tuple(ranks[s][j] for s, j in match.pairs)
+        for match in enumerate_side_perfect_matchings(graph, "left")
+    }
+
+
+def dominates(better, worse):
+    """At least as good for every slot and better for one (lower ranks are better)."""
+    return better != worse and all(b <= w for b, w in zip(better, worse))
+
+
+@pytest.mark.parametrize(
+    "kind, sizes",
+    [
+        ("goods", [(1, 3), (2, 5), (3, 6), (4, 6), (3, 8), (4, 8)]),
+        ("chores", [(1, 3), (2, 5), (3, 6), (4, 4)]),
+    ],
+)
+def test_pareto_matching_is_undominated_brute_force(kind, sizes):
+    for n, m in sizes:
+        for seed in range(40):
+            graph = sequence_graph(generate_instance(n, m, kind, seed))
+            match = pareto_optimal_matching(graph)
+            vectors = rank_vectors(graph)
+            assert match in vectors, (n, m, seed)
+            mine = vectors[match]
+            assert not any(dominates(v, mine) for v in vectors.values()), (n, m, seed)
+            # in particular no slot sees a free item it ranks above its match
+            held = {j for _, j in match.pairs}
+            for (s, _), rank in zip(match.pairs, mine):
+                free = [r for j, r in zip(graph.adjacency[s], graph.ranks[s]) if j not in held]
+                assert all(r > rank for r in free), (n, m, seed, s)
+
+
+@pytest.mark.parametrize(
+    "kind, sizes",
+    [
+        ("goods", [(2, 4), (2, 5), (3, 5), (4, 5), (3, 6)]),
+        ("chores", [(1, 3), (2, 4), (2, 5), (3, 4)]),
+    ],
+)
+def test_trading_pass_improves_every_start_brute_force(kind, sizes, monkeypatch):
+    # The narrowest-first greedy phase of max_matching already gives each
+    # slot of an instance's graph its best free item, so the trading pass
+    # finds nothing to improve on the start it gets.  Started from every
+    # slot-saturating matching instead, it must end undominated and no
+    # worse for any slot.
+    from fairmatch import matching
+
+    trade_ins = rotations = 0
+    for n, m in sizes:
+        for seed in range(20):
+            graph = sequence_graph(generate_instance(n, m, kind, seed))
+            vectors = rank_vectors(graph)
+            undominated = {
+                v for v in vectors.values()
+                if not any(dominates(u, v) for u in vectors.values())
+            }
+            # the rows reach max_matching narrowest first, ties in slot order
+            order = sorted(range(graph.left_count), key=lambda s: len(graph.adjacency[s]))
+
+            def start_at(rows, right_count):
+                assert [len(row) for row in rows] == [len(graph.adjacency[s]) for s in order]
+                return Matching(pairs=tuple((k, held[s]) for k, s in enumerate(order)))
+
+            monkeypatch.setattr(matching, "max_matching", start_at)
+            for start, before in vectors.items():
+                held = start.left_map()
+                final = pareto_optimal_matching(graph)
+                after = vectors[final]
+                assert after in undominated, (n, m, seed, start.pairs)
+                assert all(a <= b for a, b in zip(after, before)), (n, m, seed, start.pairs)
+                if {j for _, j in final.pairs} != set(held.values()):
+                    trade_ins += 1
+                elif final != start:
+                    rotations += 1
+    assert rotations > 0
+    # the extended chores graph is balanced: no item is ever free
+    assert trade_ins > 0 if kind == "goods" else trade_ins == 0
+
+
+# goods: a partial allocation of the plain graph; chores: a complete one
+DIFFERING = {
+    "goods": (
+        [("a1", Fraction(4, 9), ["b3", "b2", "b1"]), ("a2", Fraction(5, 9), ["b3", "b1", "b2"])],
+        ({"b2"}, {"b3"}),
+        ({"b3"}, {"b1"}),
+    ),
+    "chores": (
+        [("a1", Fraction(3, 5), ["b3", "b1", "b2"]), ("a2", Fraction(2, 5), ["b1", "b3", "b2"])],
+        ({"b1", "b3"}, {"b2"}),
+        ({"b1", "b2"}, {"b3"}),
+    ),
+}
+
+
+@pytest.mark.parametrize("kind", ["goods", "chores"])
+def test_pareto_allocation_differs_from_rank_maximal_and_both_replay(kind):
+    agents, pareto_bundles, rank_maximal_bundles = DIFFERING[kind]
+    inst = make(kind, ["b1", "b2", "b3"], agents)
+    graph = sequence_graph(inst)
+    pareto = pareto_optimal_matching(graph)
+    reference = normalize_slot_order(rank_maximal_perfect_matching(graph), graph)
+    for match, bundles in [(pareto, pareto_bundles), (reference, rank_maximal_bundles)]:
+        allocation = allocation_from_matching(match, graph, inst)
+        assert allocation.bundles == tuple(map(frozenset, bundles))
+        sequence = extract_picking_sequence(match, graph)
+        assert simulate_picking_sequence(inst, sequence.sequence).bundles == allocation.bundles
+        assert check_allocation(inst, allocation).passes
+    allocation, sequence = solve_with_sequence(inst)
+    assert simulate_picking_sequence(inst, sequence.sequence).bundles == allocation.bundles
+    assert check_allocation(inst, allocation).passes
+    if kind == "chores":
+        assert allocation.bundles == tuple(map(frozenset, pareto_bundles))
 
 
 # ---------------------------------------------------------------------------
