@@ -6,8 +6,10 @@ The matched slots of such a Pareto-optimal matching can be ordered so
 that greedy picking, each agent taking its most preferred remaining
 item, reproduces the matching exactly.  The paper takes a rank-maximal
 matching (lexicographically most rank-1 edges, then rank-2, ...), which
-is one of them; the library finds one with a top trading pass.  The
-allocation is then explainable as the outcome of a simple turn order.
+is one of them.  The library takes a serial dictatorship: each slot,
+narrowest first, takes its agent's best item still free, so its picks
+already are the sequence.  The allocation is then explainable as the
+outcome of a simple turn order.
 """
 
 from fractions import Fraction

@@ -13,7 +13,6 @@ from .allocgraph import (
     Slot,
     build_allocation_graph,
     extend_allocation_graph,
-    matching_rank,
     ranked_graph,
     slot_count,
     slot_threshold,
@@ -61,7 +60,6 @@ from .matching import (
     extract_picking_sequence,
     max_matching,
     normalize_slot_order,
-    pareto_optimal_matching,
     perfect_allocation,
     rank_maximal_perfect_matching,
     signature,
@@ -109,11 +107,9 @@ __all__ = [
     "generate_instance",
     "interval_set",
     "load_instance",
-    "matching_rank",
     "max_matching",
     "normalize_slot_order",
     "optimize_allocation",
-    "pareto_optimal_matching",
     "perfect_allocation",
     "rank_maximal_perfect_matching",
     "ranked_graph",

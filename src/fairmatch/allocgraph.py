@@ -20,11 +20,11 @@ order so that they sort after every real item.
 One agent's slot neighbourhoods are nested: prefixes of its ranking for
 goods, suffixes for chores, so prefixes of its items best first either
 way.  :func:`slot_reaches` yields those items and the prefix length of
-each slot; plain ``solve`` matches on the prefixes as they are and builds
-no graph.  The builder grows one sorted row per agent through them and
-copies it once per slot.  A rank depends only on the agent and the item,
-so an allocation graph keeps each agent's items best first and builds the
-per-edge ranks on first read.
+each slot; ``solve`` and ``solve --seq`` run their serial dictatorship
+on the prefixes as they are and build no graph.  The builder grows one
+sorted row per agent through them and copies it once per slot.  A rank
+depends only on the agent and the item, so an allocation graph keeps each
+agent's items best first and builds the per-edge ranks on first read.
 """
 
 from __future__ import annotations
@@ -201,14 +201,6 @@ def _threshold(kind: str, a: int, b: int, position: int) -> int:
     if kind == CHORES:
         return -(-(position - 1) * b // a)
     return position * b // a + 1
-
-
-def matching_rank(instance: Instance, agent: int, item: str) -> int:
-    """Matching-rank of a real item: 1 is the agent's most preferred item."""
-    pos = instance.position(agent, item)
-    if instance.kind == CHORES:
-        return instance.m + 1 - pos
-    return pos
 
 
 def slot_reaches(

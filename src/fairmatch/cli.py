@@ -190,7 +190,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--seq",
         action="store_true",
-        help="use a Pareto-optimal slot matching and emit a picking sequence",
+        help=(
+            "also emit a picking sequence that replays the allocation "
+            "(the slots' picks in order)"
+        ),
     )
     p.add_argument("-o", "--output")
     p.set_defaults(func=cmd_solve)

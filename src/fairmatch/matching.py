@@ -3,8 +3,8 @@
 This module bundles every matching primitive the library needs:
 
 * maximum-cardinality bipartite matching: Hopcroft-Karp over plain
-  adjacency rows, in pure Python, serving both the best-first slot
-  prefixes of a plain solve and the rows of each decomposition round;
+  adjacency rows, in pure Python, serving the rows of each decomposition
+  round;
 * one exact minimum-cost matching kernel: successive shortest paths with
   Dijkstra over the sparse adjacency lists and integer potentials, where
   a right vertex may take several left vertices up to its capacity (the
@@ -12,9 +12,11 @@ This module bundles every matching primitive the library needs:
   assignment (rational costs scaled once to integers) and rank-maximal
   matching (an edge of rank ``r`` weighs ``B**(w - r)``);
 * rank-maximal perfect matchings (the paper's construction, kept as a
-  reference), signatures, slot-order normalization;
-* Pareto-optimal slot matchings by a top trading pass, with no costs,
-  and picking-sequence extraction from them;
+  reference), signatures, slot-order normalization and picking-sequence
+  extraction;
+* fair allocations, with or without a picking sequence, from one serial
+  dictatorship over the best-first slot prefixes, narrowest first, with
+  no graph built;
 * Birkhoff-von Neumann decomposition of exact doubly stochastic matrices,
   given as sparse ``{column: entry}`` rows.
 
@@ -28,13 +30,13 @@ from __future__ import annotations
 
 import heapq
 import math
-from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 from typing import Callable, Iterable, Mapping, Sequence
 
-from .allocgraph import AllocationGraph, BipartiteGraph
-from .core import Instance, IntegralAllocation
+from .allocgraph import AllocationGraph, BipartiteGraph, slot_reaches, spare_slot_count
+from .core import GOODS, Instance, IntegralAllocation
 from .fairness import InstanceTooLarge
 
 
@@ -77,6 +79,8 @@ class PickingSequence:
 
     ``sequence`` holds agent indices (dummy-matched slots already dropped);
     ``slots`` the underlying left-vertex order including the dummy tail.
+    A goods sequence from :func:`solve_with_sequence` ends with the picks
+    of spare slots, which ``slots``, the plain graph's, does not hold.
     """
 
     sequence: tuple[int, ...]
@@ -93,8 +97,8 @@ def max_matching(adjacency: Sequence[Iterable[int]], right_count: int) -> Matchi
     Left vertex ``i`` is adjacent to the right vertices that
     ``adjacency[i]`` yields, each below ``right_count``, and every scan
     of a row reads them in the order it yields them.  The rows are only
-    read, so the best-first slot prefixes of :func:`perfect_allocation`
-    and the ``{column: entry}`` rows of :func:`bvn_decompose` both serve.
+    read, so the ``{column: entry}`` rows of :func:`bvn_decompose` serve
+    as they are.
 
     Each phase layers the left vertices by a BFS from the free ones, in
     index order; ``up`` is the first layer whose scan reaches a free right
@@ -352,87 +356,6 @@ def rank_maximal_perfect_matching(graph: BipartiteGraph) -> Matching:
 
 
 # ---------------------------------------------------------------------------
-# Pareto-optimal slot matching
-# ---------------------------------------------------------------------------
-
-def pareto_optimal_matching(graph: AllocationGraph) -> Matching:
-    """Slot-saturating matching that no other one makes better for a slot
-    without making it worse for another.
-
-    Abraham, Cechlárová, Manlove and Mehlhorn, "Pareto optimality in house
-    allocation problems" (ISAAC 2004), with no costs.  Each slot's row
-    lists its items best first: the prefix of its agent's preferences
-    that the slot reaches, then its dummy items in index order.  First a
-    maximum matching over those rows, handed to :func:`max_matching`
-    narrowest first as in :func:`perfect_allocation`.  Then one top
-    trading pass: each slot still in play points at its best item still
-    in play, through a pointer that only moves forward along its row.
-    Following slot, the item it points at, the slot holding that item,
-    and so on, either reaches a free item (a trade-in) or returns to a
-    slot on the path (a cycle).  Every slot of the trade-in path or of
-    the cycle takes the item it points at, and those slots and items
-    leave play; a trade-in frees the old item of its first slot.  Each
-    slot leaves with its best item still in play, so no matching is at
-    least as good for every slot and better for one.  Linear in the edges
-    after the maximum matching.
-
-    On a graph built from an instance the pass trades nothing: at most
-    ``r - 1`` goods slots reach ``r`` items or fewer, and at most
-    ``r + d - 1`` extended chores slots reach ``r`` real items or fewer
-    (``d`` dummies), so the greedy first phase of :func:`max_matching`
-    already gives every slot, narrowest first, its best free item.
-    """
-    m = graph.real_item_count
-    rows = []
-    for slot, adj in zip(graph.slots, graph.adjacency):
-        reach = bisect_left(adj, m)
-        rows.append(graph.preferences[slot.agent][:reach] + adj[reach:])
-    order = sorted(range(len(rows)), key=lambda s: len(rows[s]))
-    match = max_matching([rows[s] for s in order], graph.right_count)
-    if len(match) != len(rows):
-        raise NoPerfectMatching("graph admits no slot-saturating matching")
-    mate = [-1] * len(rows)  # item held by each slot
-    holder = [-1] * graph.right_count  # slot holding each item
-    for k, j in match.pairs:
-        mate[order[k]] = j
-        holder[j] = order[k]
-    point = [0] * len(rows)
-    gone = [False] * graph.right_count  # items out of play
-    path: list[int] = []  # a chain of slots, each pointing at the next one's item
-    on_path: dict[int, int] = {}  # slot -> its place in the path
-    for start in range(len(rows)):
-        if gone[mate[start]]:
-            continue  # left play with its final item
-        s = start
-        while True:
-            row, k = rows[s], point[s]
-            while gone[row[k]]:
-                k += 1
-            point[s] = k
-            on_path[s] = len(path)
-            path.append(s)
-            t = holder[row[k]]
-            if t >= 0 and t not in on_path:
-                s = t
-                continue
-            if t < 0:  # a trade-in: the first slot's item is freed
-                holder[mate[path[0]]] = -1
-                cut = 0
-            else:  # a cycle, closed at t
-                cut = on_path[t]
-            for s in path[cut:]:
-                j = rows[s][point[s]]
-                mate[s], holder[j], gone[j] = j, s, True
-                del on_path[s]
-            del path[cut:]
-            if not path:
-                break
-            s = path.pop()  # resume the chain that led into the cycle
-            del on_path[s]
-    return Matching(pairs=tuple(enumerate(mate)))
-
-
-# ---------------------------------------------------------------------------
 # Slot-order normalization and picking-sequence extraction
 # ---------------------------------------------------------------------------
 
@@ -480,7 +403,8 @@ def extract_picking_sequence(matching: Matching, graph: BipartiteGraph) -> Picki
     and so on reaches an unmatched item or closes a cycle, and moving
     every vertex on the way to the item it sees makes none worse and one
     better.  So on a matching that is Pareto-optimal for the left vertices
-    (:func:`pareto_optimal_matching`, or a rank-maximal one) such a vertex
+    (a rank-maximal one, or the serial dictatorship behind
+    :func:`solve_with_sequence`) such a vertex
     always exists, though not always among those of the lowest pending
     rank; otherwise :class:`NotRankMaximal` is raised.  On an allocation
     graph every item a slot's agent ranks above the slot's match is
@@ -609,7 +533,7 @@ def bvn_decompose(
 
 
 # ---------------------------------------------------------------------------
-# End-to-end: fair allocation from a perfect matching
+# End-to-end: fair allocations
 # ---------------------------------------------------------------------------
 
 def allocation_from_matching(
@@ -623,51 +547,89 @@ def allocation_from_matching(
     return IntegralAllocation(bundles=tuple(frozenset(b) for b in bundles))
 
 
+def _serial_dictatorship(
+    instance: Instance,
+) -> tuple[list[tuple[int, int, int]], list[int]]:
+    """Each slot, narrowest first, takes its agent's best item still free.
+
+    The slots of :func:`~fairmatch.allocgraph.slot_reaches`, numbered as in
+    the plain allocation graph, go in a stable sort on the reach, so ties
+    stay agent-major.  For goods, each agent's
+    :func:`~fairmatch.allocgraph.spare_slot_count` spare slots follow,
+    agent-major, kept as a count; each reaches every good.  One forward
+    pointer per agent finds the first free item of a slot's reach: an
+    agent's slots come in order of growing reach, so every item its
+    pointer has passed is taken.  A slot that finds nothing is matched to
+    a dummy, and the pass stops once every item is taken.  So the picks in
+    order are a picking sequence, and the slot matching is Pareto-optimal
+    (Abraham, Cechlárová, Manlove and Mehlhorn, ISAAC 2004).
+
+    At most ``r - 1`` goods slots reach ``r`` goods or fewer, and at most
+    ``r + d - 1`` chores slots reach ``r`` chores or fewer (``d`` dummy
+    chores), so a chore left over, or a plain goods slot that picks
+    nothing, raises :class:`MatchingInternalError`.  Returns the picks in
+    order as ``(slot, agent, item)``, with slot ``-1`` for a spare slot,
+    and the plain slots narrowest first.
+    """
+    m = instance.m
+    best_first: list[tuple[int, ...]] = []
+    slots: list[tuple[int, int]] = []  # (reach, agent)
+    for i, (row, reaches) in enumerate(slot_reaches(instance)):
+        best_first.append(row)
+        slots += ((r, i) for r in reaches)
+    order = sorted(range(len(slots)), key=lambda s: slots[s][0])
+    goods = instance.kind == GOODS
+    spare = spare_slot_count(instance) if goods else 0
+    spares = ((-1, m, i) for i in range(instance.n) for _ in range(spare))
+    taken = [False] * m
+    point = [0] * instance.n
+    picks: list[tuple[int, int, int]] = []
+    for s, r, i in chain(((s, *slots[s]) for s in order), spares):
+        if len(picks) == m:
+            break
+        row, k = best_first[i], point[i]
+        while k < r and taken[row[k]]:
+            k += 1
+        if k < r:
+            taken[row[k]] = True
+            picks.append((s, i, row[k]))
+            k += 1
+        elif goods and s >= 0:
+            raise MatchingInternalError(f"goods slot {s} reaches no free good")
+        point[i] = k
+    if len(picks) != m:
+        raise MatchingInternalError(f"{m - len(picks)} of {m} items left unassigned")
+    return picks, order
+
+
+def _bundles(instance: Instance, picks: list[tuple[int, int, int]]) -> IntegralAllocation:
+    bundles: list[set[str]] = [set() for _ in range(instance.n)]
+    for _, i, j in picks:
+        bundles[i].add(instance.items[j])
+    return IntegralAllocation(bundles=tuple(frozenset(b) for b in bundles))
+
+
 def solve_with_sequence(
     instance: Instance,
 ) -> tuple[IntegralAllocation, PickingSequence]:
     """Fair allocation together with a picking sequence that reproduces it.
 
-    Chores extract the sequence from a Pareto-optimal perfect matching of
-    the extended graph (:func:`pareto_optimal_matching`); the
-    dummy-matched slots form the dropped tail.  Goods extract it from a
-    Pareto-optimal slot-perfect matching of the plain graph, which yields
-    a partial allocation; the sequence is then continued round-robin over
-    the agents so that the leftover goods are picked too, which keeps the
-    completed allocation both fair and reproducible from the sequence.
-    Simulating the returned sequence
+    The allocation is :func:`perfect_allocation`'s, and the sequence lists
+    the agents of the serial dictatorship's picks in order, spare slots
+    included for goods, so every item is picked.  ``slots`` holds the
+    plain graph's slots that picked, in pick order, then its empty-handed
+    ones, narrowest first.  Simulating the returned sequence
     (:func:`fairmatch.fairness.simulate_picking_sequence`) rebuilds the
     returned allocation item for item.
     """
-    from .allocgraph import build_allocation_graph, extend_allocation_graph
-    from .core import CHORES, GOODS
-
-    plain = build_allocation_graph(instance)
-    if instance.kind == CHORES:
-        graph = extend_allocation_graph(plain, instance)
-    else:
-        graph = plain
-    match = pareto_optimal_matching(graph)
-    sequence = extract_picking_sequence(match, graph)
-    allocation = allocation_from_matching(match, graph, instance)
-    if instance.kind == GOODS:
-        taken = {item for bundle in allocation.bundles for item in bundle}
-        bundles = [set(b) for b in allocation.bundles]
-        order = list(sequence.sequence)
-        agent = 0
-        while len(taken) < instance.m:
-            pick = next(
-                item
-                for item in instance.agents[agent].ranking
-                if item not in taken
-            )
-            taken.add(pick)
-            bundles[agent].add(pick)
-            order.append(agent)
-            agent = (agent + 1) % instance.n
-        allocation = IntegralAllocation(bundles=tuple(frozenset(b) for b in bundles))
-        sequence = PickingSequence(sequence=tuple(order), slots=sequence.slots)
-    return allocation, sequence
+    picks, order = _serial_dictatorship(instance)
+    picked = [s for s, _, _ in picks if s >= 0]
+    held = set(picked)
+    sequence = PickingSequence(
+        sequence=tuple(i for _, i, _ in picks),
+        slots=tuple(picked + [s for s in order if s not in held]),
+    )
+    return _bundles(instance, picks), sequence
 
 
 def enumerate_side_perfect_matchings(
@@ -721,48 +683,13 @@ def enumerate_side_perfect_matchings(
 def perfect_allocation(instance: Instance) -> IntegralAllocation:
     """A fair allocation via a side-perfect matching of the plain graph.
 
-    Every slot is matched on its row as :func:`~fairmatch.allocgraph.slot_reaches`
-    gives it, a prefix of its agent's items best first, with no graph
-    built.  The slots go to :func:`max_matching` narrowest first (a stable
-    sort on the reach, so ties stay agent-major), which makes the greedy
-    first phase give the most constrained slots their best free items
-    and leaves little for the augmenting phases.
-
-    Chores: a matching saturating every chore always exists; its slot
-    owners define a complete allocation.  Goods: a matching saturating
-    every slot always exists and yields a partial allocation, which is then
-    completed by handing each leftover good to a spare slot of the extended
-    graph (leftover goods in item order, spare slots in slot order, which
-    is agent-major: agent 0 takes the first ``q`` leftovers, agent 1 the
-    next ``q``, and so on); any completion of a fair partial allocation
-    stays fair.
+    Each slot, narrowest first, takes its agent's best free item within
+    its reach, a prefix of the agent's items best first, with no graph
+    built.  Chores: every chore is taken, and the dummy-matched slots
+    hold nothing.  Goods: every slot takes a good, and the leftover goods
+    go to the spare slots of the extended graph, agent-major.  They number
+    exactly the spare slots per agent, so agent 0 takes them all.  Any
+    completion of a fair partial allocation stays fair.
     """
-    from .allocgraph import slot_reaches, spare_slot_count
-
-    slots: list[tuple[tuple[int, ...], int]] = []  # (row, agent)
-    for i, (best_first, reaches) in enumerate(slot_reaches(instance)):
-        slots += ((best_first[:reach], i) for reach in reaches)
-    slots.sort(key=lambda slot: len(slot[0]))
-    match = max_matching([row for row, _ in slots], instance.m)
-    bundles: list[set[str]] = [set() for _ in range(instance.n)]
-    for k, j in match.pairs:
-        bundles[slots[k][1]].add(instance.items[j])
-    if instance.kind == "chores":
-        if len(match) != instance.m:
-            raise MatchingInternalError(
-                "no chore-perfect matching found; the construction guarantees one"
-            )
-    else:
-        if len(match) != len(slots):
-            raise MatchingInternalError(
-                "no slot-perfect matching found; the construction guarantees one"
-            )
-        matched_items = {j for _, j in match.pairs}
-        leftovers = [j for j in range(instance.m) if j not in matched_items]
-        if leftovers:
-            q = spare_slot_count(instance)
-            if len(leftovers) > instance.n * q:
-                raise MatchingInternalError("not enough spare slots to complete")
-            for k, j in enumerate(leftovers):
-                bundles[k // q].add(instance.items[j])
-    return IntegralAllocation(bundles=tuple(frozenset(b) for b in bundles))
+    picks, _ = _serial_dictatorship(instance)
+    return _bundles(instance, picks)

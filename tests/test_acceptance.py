@@ -199,7 +199,7 @@ def test_criterion_05_sequencibility_round_trip():
 
 
 def test_criterion_05b_sequence_at_scale():
-    # at 40x200 the Pareto-optimal matching runs on p = 224 (chores); the
+    # at 40x200 the serial dictatorship runs over 224 chores slots; the
     # whole solve_with_sequence call must stay well under 5 s per kind
     for kind in ("chores", "goods"):
         inst = generate_instance(40, 200, kind, 43)
@@ -218,8 +218,8 @@ def test_criterion_05b_sequence_at_scale():
 
 def test_criterion_05c_sequence_at_the_rank_maximal_cliffs():
     # these took 10.1 s (goods) and 16.4 s (chores) while solve_with_sequence
-    # ran the big-integer rank-maximal kernel; the Pareto-optimal matching
-    # must keep each well under 5 s
+    # ran the big-integer rank-maximal kernel; the serial dictatorship must
+    # keep each well under 5 s
     for kind, n, m in [("goods", 100, 1000), ("chores", 120, 600)]:
         inst = generate_instance(n, m, kind, 43)
         start = time.monotonic()

@@ -7,9 +7,17 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
+import pytest
+
 from fairmatch.bobw import lottery_from_json
 from fairmatch.cli import main
-from fairmatch.core import load_instance, validate_instance, dump_instance
+from fairmatch.core import (
+    allocation_to_json,
+    dump_instance,
+    generate_instance,
+    load_instance,
+    validate_instance,
+)
 from fairmatch.fairness import simulate_picking_sequence
 
 
@@ -94,8 +102,9 @@ def test_solve_seq_emits_replayable_sequence(tmp_path, capsys):
 
 
 def test_solve_seq_when_the_lowest_rank_group_is_stuck(tmp_path, capsys):
-    # at one step of the extraction every pending slot of the lowest matched
-    # rank still sees a better available chore, but a higher one does not
+    # the picking-sequence extraction that solve --seq once ran reached a
+    # step here where every pending slot of the lowest matched rank still
+    # saw a better available chore, but a higher one did not
     inst_path = tmp_path / "chores.json"
     run(
         capsys, "gen", "--agents", "6", "--items", "30",
@@ -114,6 +123,37 @@ def test_solve_seq_when_the_lowest_rank_group_is_stuck(tmp_path, capsys):
     } == {inst.agents[i].name: sorted(replay.bundles[i]) for i in range(inst.n)}
     code, out, _ = run(capsys, "verify", str(inst_path), str(out_path))
     assert code == 0 and "overall: PASS" in out
+
+
+# the output sweep of the best-first prefix solve: seeds 0-19 at 3x9, 5x20,
+# 8x40 and 12x60, seeds 0-4 at 20x100, and three instances where the old
+# picking-sequence extraction once stalled; 176 instances over both kinds
+SWEEP = [
+    (n, m, seed)
+    for n, m, seeds in [
+        (3, 9, range(20)), (5, 20, range(20)), (8, 40, range(20)),
+        (12, 60, range(20)), (20, 100, range(5)), (6, 30, (5, 28)), (8, 40, (30,)),
+    ]
+    for seed in seeds
+]
+
+
+@pytest.mark.parametrize("kind", ["goods", "chores"])
+def test_solve_seq_prints_the_solve_allocation_and_replays(kind, tmp_path, capsys):
+    path = tmp_path / "inst.json"
+    for n, m, seed in SWEEP:
+        inst = generate_instance(n, m, kind, seed)
+        path.write_text(dump_instance(inst))
+        code, plain, err = run(capsys, "solve", str(path))
+        assert code == 0 and err == ""
+        code, out, err = run(capsys, "solve", "--seq", str(path))
+        assert code == 0 and err == ""
+        payload = json.loads(out)
+        assert json.dumps(payload["allocation"], indent=2) + "\n" == plain, (n, m, seed)
+        replay = simulate_picking_sequence(
+            inst, [inst.agent_index(name) for name in payload["sequence"]]
+        )
+        assert payload["allocation"] == allocation_to_json(inst, replay), (n, m, seed)
 
 
 def test_verify_reports_failure_with_exit_one(tmp_path, capsys):
@@ -394,18 +434,28 @@ def test_repeated_item_in_bundle_exits_two(tmp_path, capsys):
     assert err.startswith("error:") and "'b1'" in err
 
 
-def test_internal_error_exits_three(tmp_path, capsys, monkeypatch):
-    from fairmatch import matching
+@pytest.mark.parametrize("kind", ["goods", "chores"])
+def test_internal_error_exits_three(kind, tmp_path, capsys, monkeypatch):
+    from fairmatch import allocgraph, matching
 
-    def broken(*args, **kwargs):
-        return matching.Matching(pairs=())  # a kernel that matches nothing
+    def unreachable(instance):
+        # every slot reaches nothing, which the construction rules out
+        for best_first, reaches in allocgraph.slot_reaches(instance):
+            yield best_first, (0,) * len(reaches)
 
-    monkeypatch.setattr(matching, "max_matching", broken)
-    _, path = write_identical_chores(tmp_path)
-    code, out, err = run(capsys, "solve", "--seq", str(path))
-    assert code == 3 and out == ""
-    assert err.startswith("error: internal:") and "NoPerfectMatching" in err
-    assert err.count("\n") == 1
+    monkeypatch.setattr(matching, "slot_reaches", unreachable)
+    # goods: one slot and two spare slots per agent, so the spare slots
+    # alone could take every good
+    items = ["b1", "b2", "b3", "b4"]
+    path = tmp_path / "inst.json"
+    path.write_text(dump_instance(validate_instance(
+        kind, items, [("a1", Fraction(1, 2), items), ("a2", Fraction(1, 2), items)]
+    )))
+    for flags in ([], ["--seq"]):
+        code, out, err = run(capsys, "solve", *flags, str(path))
+        assert code == 3 and out == ""
+        assert err.startswith("error: internal:") and "MatchingInternalError" in err
+        assert err.count("\n") == 1
 
 
 def test_console_entry_point_runs():

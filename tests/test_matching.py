@@ -1,6 +1,7 @@
 """Tests for matching primitives against brute-force oracles."""
 
 import itertools
+import json
 import random
 from fractions import Fraction
 
@@ -11,8 +12,14 @@ from fairmatch.allocgraph import (
     build_allocation_graph,
     extend_allocation_graph,
     ranked_graph,
+    spare_slot_count,
 )
-from fairmatch.core import generate_instance, validate_instance
+from fairmatch.core import (
+    IntegralAllocation,
+    allocation_to_json,
+    generate_instance,
+    validate_instance,
+)
 from fairmatch.fairness import InstanceTooLarge, check_allocation, simulate_picking_sequence
 from fairmatch.matching import (
     Matching,
@@ -26,7 +33,6 @@ from fairmatch.matching import (
     extract_picking_sequence,
     max_matching,
     normalize_slot_order,
-    pareto_optimal_matching,
     perfect_allocation,
     rank_maximal_perfect_matching,
     signature,
@@ -633,9 +639,29 @@ def test_rank_maximal_matches_dense_lex_reference():
 # ---------------------------------------------------------------------------
 
 def sequence_graph(inst):
-    """The graph solve_with_sequence matches on: plain for goods, extended for chores."""
+    """The graph of solve_with_sequence's slots: plain for goods, extended for chores."""
     graph = build_allocation_graph(inst)
     return extend_allocation_graph(graph, inst) if inst.kind == "chores" else graph
+
+
+def solve_matching(inst, graph):
+    """solve_with_sequence's slot matching on ``sequence_graph(inst)``.
+
+    Each slot that picked holds what its agent takes at that place of the
+    replay.  Chores' empty-handed slots take the dummies in narrowest-first
+    order, the order of the tail of the sequence's slots.  A goods sequence
+    ends with the picks of spare slots, which the plain graph does not hold.
+    """
+    _, sequence = solve_with_sequence(inst)
+    available = set(range(inst.m))
+    pairs = []
+    for s, agent in zip(sequence.slots, sequence.sequence):
+        pick = next(j for j in graph.preferences[agent] if j in available)
+        available.discard(pick)
+        pairs.append((s, pick))
+    tail = sequence.slots[len(pairs):]
+    pairs += zip(tail, range(inst.m, inst.m + len(tail)))
+    return Matching(pairs=tuple(sorted(pairs)))
 
 
 def rank_vectors(graph):
@@ -662,8 +688,9 @@ def dominates(better, worse):
 def test_pareto_matching_is_undominated_brute_force(kind, sizes):
     for n, m in sizes:
         for seed in range(40):
-            graph = sequence_graph(generate_instance(n, m, kind, seed))
-            match = pareto_optimal_matching(graph)
+            inst = generate_instance(n, m, kind, seed)
+            graph = sequence_graph(inst)
+            match = solve_matching(inst, graph)
             vectors = rank_vectors(graph)
             assert match in vectors, (n, m, seed)
             mine = vectors[match]
@@ -673,53 +700,6 @@ def test_pareto_matching_is_undominated_brute_force(kind, sizes):
             for (s, _), rank in zip(match.pairs, mine):
                 free = [r for j, r in zip(graph.adjacency[s], graph.ranks[s]) if j not in held]
                 assert all(r > rank for r in free), (n, m, seed, s)
-
-
-@pytest.mark.parametrize(
-    "kind, sizes",
-    [
-        ("goods", [(2, 4), (2, 5), (3, 5), (4, 5), (3, 6)]),
-        ("chores", [(1, 3), (2, 4), (2, 5), (3, 4)]),
-    ],
-)
-def test_trading_pass_improves_every_start_brute_force(kind, sizes, monkeypatch):
-    # The narrowest-first greedy phase of max_matching already gives each
-    # slot of an instance's graph its best free item, so the trading pass
-    # finds nothing to improve on the start it gets.  Started from every
-    # slot-saturating matching instead, it must end undominated and no
-    # worse for any slot.
-    from fairmatch import matching
-
-    trade_ins = rotations = 0
-    for n, m in sizes:
-        for seed in range(20):
-            graph = sequence_graph(generate_instance(n, m, kind, seed))
-            vectors = rank_vectors(graph)
-            undominated = {
-                v for v in vectors.values()
-                if not any(dominates(u, v) for u in vectors.values())
-            }
-            # the rows reach max_matching narrowest first, ties in slot order
-            order = sorted(range(graph.left_count), key=lambda s: len(graph.adjacency[s]))
-
-            def start_at(rows, right_count):
-                assert [len(row) for row in rows] == [len(graph.adjacency[s]) for s in order]
-                return Matching(pairs=tuple((k, held[s]) for k, s in enumerate(order)))
-
-            monkeypatch.setattr(matching, "max_matching", start_at)
-            for start, before in vectors.items():
-                held = start.left_map()
-                final = pareto_optimal_matching(graph)
-                after = vectors[final]
-                assert after in undominated, (n, m, seed, start.pairs)
-                assert all(a <= b for a, b in zip(after, before)), (n, m, seed, start.pairs)
-                if {j for _, j in final.pairs} != set(held.values()):
-                    trade_ins += 1
-                elif final != start:
-                    rotations += 1
-    assert rotations > 0
-    # the extended chores graph is balanced: no item is ever free
-    assert trade_ins > 0 if kind == "goods" else trade_ins == 0
 
 
 # goods: a partial allocation of the plain graph; chores: a complete one
@@ -742,7 +722,7 @@ def test_pareto_allocation_differs_from_rank_maximal_and_both_replay(kind):
     agents, pareto_bundles, rank_maximal_bundles = DIFFERING[kind]
     inst = make(kind, ["b1", "b2", "b3"], agents)
     graph = sequence_graph(inst)
-    pareto = pareto_optimal_matching(graph)
+    pareto = solve_matching(inst, graph)
     reference = normalize_slot_order(rank_maximal_perfect_matching(graph), graph)
     for match, bundles in [(pareto, pareto_bundles), (reference, rank_maximal_bundles)]:
         allocation = allocation_from_matching(match, graph, inst)
@@ -753,6 +733,7 @@ def test_pareto_allocation_differs_from_rank_maximal_and_both_replay(kind):
     allocation, sequence = solve_with_sequence(inst)
     assert simulate_picking_sequence(inst, sequence.sequence).bundles == allocation.bundles
     assert check_allocation(inst, allocation).passes
+    assert allocation == perfect_allocation(inst)
     if kind == "chores":
         assert allocation.bundles == tuple(map(frozenset, pareto_bundles))
 
@@ -848,9 +829,10 @@ def test_sequence_round_trip_random_instances():
 
 @pytest.mark.parametrize("kind", ["goods", "chores"])
 def test_sequence_round_trip_when_the_lowest_rank_group_is_stuck(kind):
-    # goods 6x30 seed 28, goods 8x40 seed 30 and chores 6x30 seed 5 reach a
-    # step where every pending slot of the lowest matched rank still sees a
-    # better available item, while a slot of a higher rank does not
+    # on goods 6x30 seed 28, goods 8x40 seed 30 and chores 6x30 seed 5, the
+    # picking-sequence extraction solve_with_sequence once ran reached a step
+    # where every pending slot of the lowest matched rank still saw a better
+    # available item, while a slot of a higher rank did not
     for n, m in [(6, 30), (8, 40)]:
         for seed in range(40):
             inst = generate_instance(n, m, kind, seed)
@@ -1021,34 +1003,72 @@ def test_perfect_allocation_random_instances_verify():
                 assert sum(len(b) for b in alloc.bundles) == inst.m
 
 
+def graph_rows_allocation(inst):
+    """A fair allocation by max_matching on the graph rows, narrowest first.
+
+    Each row goes over best first, as its slot's prefix of its agent's
+    preferences, in a stable sort on the width, so ties stay in slot
+    order.  Goods leftovers go, in item order, to the spare slots of the
+    extended graph, agent-major, q per agent.
+    """
+    graph = build_allocation_graph(inst)
+    rows = [
+        graph.preferences[slot.agent][:len(adj)]
+        for slot, adj in zip(graph.slots, graph.adjacency)
+    ]
+    assert list(map(sorted, rows)) == list(map(list, graph.adjacency))
+    order = sorted(range(len(rows)), key=lambda s: len(rows[s]))
+    match = max_matching([rows[s] for s in order], inst.m)
+    # chores cover every chore, goods every slot
+    assert len(match) == (inst.m if inst.kind == "chores" else graph.left_count)
+    bundles = [set() for _ in range(inst.n)]
+    for k, j in match.pairs:
+        bundles[graph.slots[order[k]].agent].add(inst.items[j])
+    if inst.kind == "goods":
+        held = {j for _, j in match.pairs}
+        leftovers = [j for j in range(inst.m) if j not in held]
+        q = spare_slot_count(inst)
+        for k, j in enumerate(leftovers):
+            bundles[k // q].add(inst.items[j])
+    return IntegralAllocation(bundles=tuple(map(frozenset, bundles)))
+
+
 @pytest.mark.parametrize("kind", ["goods", "chores"])
-def test_perfect_allocation_matches_graph_rows_narrowest_first(kind, monkeypatch):
-    from fairmatch import matching
-
-    calls = []
-
-    def recording(adjacency, right_count):
-        match = max_matching(adjacency, right_count)
-        calls.append((adjacency, right_count, match))
-        return match
-
-    monkeypatch.setattr(matching, "max_matching", recording)
+def test_perfect_allocation_matches_graph_rows_narrowest_first(kind):
     for n, m in [(1, 0), (1, 5), (3, 2), (3, 9), (7, 3), (8, 40), (20, 100)]:
         for seed in range(10):
             inst = generate_instance(n, m, kind, seed)
-            calls.clear()
             alloc = perfect_allocation(inst)
-            [(rows, right_count, match)] = calls
-            graph = build_allocation_graph(inst)
-            assert right_count == m
-            # the same rows as the graph's, as sets, handed over narrowest first
-            assert sorted(map(sorted, rows)) == sorted(map(list, graph.adjacency))
-            widths = [len(row) for row in rows]
-            assert widths == sorted(widths)
-            # chores cover every chore, goods every slot
-            assert len(match) == (m if kind == "chores" else graph.left_count)
+            reference = graph_rows_allocation(inst)
+            assert json.dumps(allocation_to_json(inst, alloc)) == json.dumps(
+                allocation_to_json(inst, reference)
+            ), (n, m, seed)
             assert check_allocation(inst, alloc).passes
             assert sum(len(b) for b in alloc.bundles) == m
+
+
+@pytest.mark.parametrize("kind", ["goods", "chores"])
+def test_sequence_slots_are_the_plain_slots_in_pick_order(kind):
+    for n, m in [(1, 0), (1, 5), (3, 2), (3, 9), (7, 3), (8, 40), (20, 100)]:
+        for seed in range(10):
+            inst = generate_instance(n, m, kind, seed)
+            graph = build_allocation_graph(inst)
+            _, sequence = solve_with_sequence(inst)
+            assert sorted(sequence.slots) == list(range(graph.left_count))
+            assert len(sequence.sequence) == m
+            # chores: every chore is picked by a slot; goods: every slot
+            # picks, and the spare slots pick the rest
+            picks = min(m, graph.left_count)
+            available = set(range(m))
+            for s, agent in zip(sequence.slots, sequence.sequence):
+                assert graph.slots[s].agent == agent, (n, m, seed, s)
+                pick = next(j for j in graph.preferences[agent] if j in available)
+                assert pick in graph.adjacency[s], (n, m, seed, s)
+                available.discard(pick)
+            # picks narrowest first, then the empty-handed tail narrowest first
+            for part in (sequence.slots[:picks], sequence.slots[picks:]):
+                widths = [len(graph.adjacency[s]) for s in part]
+                assert widths == sorted(widths), (n, m, seed)
 
 
 def test_enumerate_side_perfect_matchings_e1():
