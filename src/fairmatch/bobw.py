@@ -9,9 +9,15 @@ Stripping dummy items from each permutation yields a lottery over complete
 allocations, every one of which passes the bundle characterization, while
 the exact mixture equals the uniform fractional allocation.
 
-The weights are computed as integers over one common denominator and
-become fractions only once, at the end; the decomposition receives them as
-sparse ``{column: weight}`` rows.
+The lottery decomposes only the rows that carry real weight: every chores
+slot, and each goods agent's real slots plus its first spare slot, their
+slack filled with dummy columns.  The other goods spare slots would hold
+dummy weight only, and they can take the remaining dummies in any
+permutation, so nothing is lost.  The weights are integers over the least
+common multiple of the entitlement denominators from the interval
+arithmetic to the end of the decomposition, and become fractions once,
+when the parts are merged.  :func:`build_fractional_matching` shares that
+arithmetic and gives the full extended graph's weights as fractions.
 """
 
 from __future__ import annotations
@@ -19,12 +25,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Iterator
 
-from .allocgraph import (
-    AllocationGraph,
-    build_allocation_graph,
-    extend_allocation_graph,
-)
+from .allocgraph import AllocationGraph, slot_reaches
 from .core import (
     CHORES,
     FormatError,
@@ -74,6 +77,84 @@ class Lottery:
         return FractionalAllocation(shares=tuple(tuple(row) for row in shares))
 
 
+def _interval_rows(instance: Instance, denom: int) -> Iterator[list[dict[int, int]]]:
+    """Each agent's interval weights, one ``{item: weight}`` row per weighted slot.
+
+    Yields one list of rows per agent, in agent order.  Row ``l - 1``
+    takes the items overlapping the agent's interval ``l``, each weighted
+    alpha times the overlap, as an integer over ``denom``, a common
+    multiple of the entitlement denominators: with ``alpha = a/b``,
+    interval ``l`` spans ``[(l-1)*b, min(l*b, m*a)]`` and the item at
+    position ``pos`` spans ``[(pos-1)*a, pos*a]``, both in units of
+    ``1/a``, and their overlap weighs ``overlap * denom/b``.  The
+    ``ceil(m*alpha)`` intervals tile ``[0, m]``.
+
+    Chores get one row per slot, empty past the last interval.  Goods get
+    one row per real slot, each saturated, plus one for the agent's first
+    spare slot, which takes the last interval and reaches every good;
+    the other spare slots would hold only dummy weight and get no row.
+    Every weight lies within its slot's reach (see
+    :func:`~fairmatch.allocgraph.slot_reaches`), or construction fails.
+    """
+    m = instance.m
+    chores = instance.kind == CHORES
+    for agent, (best_first, reaches) in zip(instance.agents, slot_reaches(instance)):
+        if not chores:
+            reaches += (m,)
+        a, b = agent.entitlement.numerator, agent.entitlement.denominator
+        scale, end = denom // b, m * a
+        rows: list[dict[int, int]] = [{} for _ in reaches]
+        for ell in range(1, -(-end // b) + 1):
+            row, reach = rows[ell - 1], reaches[ell - 1]
+            lo, hi = (ell - 1) * b, min(ell * b, end)
+            for pos in range(lo // a + 1, m + 1):
+                item_lo = (pos - 1) * a
+                if item_lo >= hi:
+                    break
+                # index of the item in best-first order
+                k = m - pos if chores else pos - 1
+                if k >= reach:
+                    raise BobwInternalError(f"weight placed beyond a slot's reach ({agent.name})")
+                row[best_first[k]] = (min(pos * a, hi) - max(item_lo, lo)) * scale
+        if not chores and any(sum(row.values()) != denom for row in rows[:-1]):
+            raise BobwInternalError("a real goods slot was left unsaturated")
+        yield rows
+
+
+def _fill_northwest(rows: list[dict[int, int]], first_dummy: int, denom: int) -> None:
+    """Fill each row up to ``denom`` with dummy columns, northwest-corner style.
+
+    Rows in order take the dummy columns ``first_dummy, first_dummy + 1,
+    ...`` in order, each column filled to ``denom`` before the next one
+    opens, which makes the doubly stochastic matrix reproducible.  The
+    matrix is square; every row and column must sum to ``denom``.
+    """
+    dummy, room = first_dummy, denom
+    for row in rows:
+        slack = denom - sum(row.values())
+        if slack < 0:
+            raise BobwInternalError("a slot absorbed more than one unit")
+        while slack:
+            if dummy >= len(rows):
+                raise BobwInternalError("ran out of dummy items during the fill")
+            w = min(slack, room)
+            row[dummy] = w
+            slack -= w
+            room -= w
+            if not room:
+                dummy, room = dummy + 1, denom
+    column_sums = [0] * len(rows)
+    for row in rows:
+        for j, w in row.items():
+            column_sums[j] += w
+    if any(total != denom for total in column_sums):
+        raise BobwInternalError("fractional matching is not doubly stochastic")
+
+
+def _common_denominator(instance: Instance) -> int:
+    return math.lcm(*(agent.entitlement.denominator for agent in instance.agents))
+
+
 def build_fractional_matching(
     instance: Instance, graph: AllocationGraph
 ) -> FractionalMatching:
@@ -86,119 +167,69 @@ def build_fractional_matching(
     makes the resulting doubly stochastic matrix reproducible.
 
     Every weight is computed as an integer over ``D``, the least common
-    multiple of the entitlement denominators: with ``alpha = a/b``,
-    interval ``l`` spans ``[(l-1)*b, min(l*b, m*a)]`` and the item at
-    position ``pos`` spans ``[(pos-1)*a, pos*a]``, both in units of
-    ``1/a``, and their overlap weighs ``overlap * D/b``.  The weights are
-    wrapped into fractions once, at the end.
+    multiple of the entitlement denominators (see :func:`_interval_rows`,
+    which :func:`uniform_lottery` shares), and wrapped into a fraction
+    once, at the end.
     """
     if not graph.extended:
         raise ValueError("fractional matching needs the extended graph")
-    n, m = instance.n, instance.m
-    denom = math.lcm(*(instance.entitlement(i).denominator for i in range(n)))
-    item_index = {item: j for j, item in enumerate(instance.items)}
-    slot_index: dict[tuple[int, int], int] = {}
-    first_spare: dict[int, int] = {}
-    for idx, slot in enumerate(graph.slots):
-        if slot.spare:
-            first_spare.setdefault(slot.agent, idx)
-        else:
-            slot_index[(slot.agent, slot.position)] = idx
-    weights: dict[tuple[int, int], int] = {}
-
-    for i in range(n):
-        alpha = instance.entitlement(i)
-        a, b = alpha.numerator, alpha.denominator
-        scale = denom // b
-        end = m * a
-        count = -(-end // b)  # ceil(m * alpha) intervals tile [0, m]
-        ranking = instance.agents[i].ranking
-        for ell in range(1, count + 1):
-            if instance.kind == CHORES or ell < count:
-                slot = slot_index[(i, ell)]
-            else:
-                # goods: the last interval spills into the first spare slot
-                slot = first_spare[i]
-            lo, hi = (ell - 1) * b, min(ell * b, end)
-            for pos in range(lo // a + 1, m + 1):
-                item_lo = (pos - 1) * a
-                if item_lo >= hi:
-                    break
-                overlap = min(pos * a, hi) - max(item_lo, lo)
-                if overlap > 0:
-                    key = (slot, item_index[ranking[pos - 1]])
-                    weights[key] = weights.get(key, 0) + overlap * scale
-
-    for slot, j in weights:
-        if not graph.has_edge(slot, j):
-            raise BobwInternalError(f"weight placed on a missing edge ({slot}, {j})")
-
-    # fill remaining slot capacity with dummy items, northwest-corner style
-    slot_room = [denom] * graph.left_count
-    for (slot, _item), w in weights.items():
-        slot_room[slot] -= w
-    if any(room < 0 for room in slot_room):
-        raise BobwInternalError("a slot absorbed more than one unit")
-    if instance.kind != CHORES:
-        for idx, slot in enumerate(graph.slots):
-            if not slot.spare and slot_room[idx] != 0:
-                raise BobwInternalError("a real goods slot was left unsaturated")
-    dummy = graph.real_item_count
-    dummy_room = denom
-    for idx in range(graph.left_count):
-        if instance.kind != CHORES and not graph.slots[idx].spare:
-            continue
-        while slot_room[idx] > 0:
-            if dummy >= graph.right_count:
-                raise BobwInternalError("ran out of dummy items during the fill")
-            w = min(slot_room[idx], dummy_room)
-            key = (idx, dummy)
-            weights[key] = weights.get(key, 0) + w
-            slot_room[idx] -= w
-            dummy_room -= w
-            if dummy_room == 0:
-                dummy += 1
-                dummy_room = denom
-
-    # exactness: rows and columns must both sum to one
-    col_sum = [0] * graph.right_count
-    row_sum = [0] * graph.left_count
-    for (slot, j), w in weights.items():
-        row_sum[slot] += w
-        col_sum[j] += w
-    if any(s != denom for s in row_sum) or any(s != denom for s in col_sum):
-        raise BobwInternalError("fractional matching is not doubly stochastic")
+    denom = _common_denominator(instance)
+    # a goods agent's first spare slot sits at the position after its real slots
+    slot_index = {(slot.agent, slot.position): idx for idx, slot in enumerate(graph.slots)}
+    rows: list[dict[int, int]] = [{} for _ in range(graph.left_count)]
+    for i, agent_rows in enumerate(_interval_rows(instance, denom)):
+        for position, row in enumerate(agent_rows, start=1):
+            rows[slot_index[i, position]] = row
+    _fill_northwest(rows, graph.real_item_count, denom)
     return FractionalMatching(
-        weights={key: Fraction(w, denom) for key, w in weights.items()}
+        weights={
+            (slot, j): Fraction(w, denom)
+            for slot, row in enumerate(rows)
+            for j, w in row.items()
+        }
     )
 
 
 def uniform_lottery(instance: Instance) -> Lottery:
     """Lottery whose mixture gives every agent exactly alpha of every item.
 
-    Builds the extended graph, the interval-based fractional perfect
-    matching, decomposes it, and strips dummy items from every permutation.
-    Permutations inducing the same allocation are merged (first-seen
-    order), so the support is a set of distinct allocations.
+    Decomposes the interval weights of the rows that carry real weight
+    (every chores slot; each goods real slot and first spare slot), their
+    slack filled with ``rows - m`` dummy columns, and strips the dummy
+    items from every permutation.  No graph is built: every permutation
+    extends to a perfect matching of the extended graph, since its other
+    goods spare slots reach every dummy, so each allocation is fair.  The
+    weights stay integers over the common denominator through the
+    decomposition and become fractions once, when permutations inducing
+    the same allocation are merged (first-seen order), so the support is
+    a set of distinct allocations.
     """
-    graph = extend_allocation_graph(build_allocation_graph(instance), instance)
-    # the weights go out of scope before the parts are merged, where memory peaks
-    parts = bvn_decompose(build_fractional_matching(instance, graph).rows(graph.left_count))
-    merged: dict[tuple[frozenset[str], ...], Fraction] = {}
+    denom = _common_denominator(instance)
+    rows: list[dict[int, int]] = []
+    owners: list[int] = []
+    for i, agent_rows in enumerate(_interval_rows(instance, denom)):
+        rows += agent_rows
+        owners += [i] * len(agent_rows)
+    _fill_northwest(rows, instance.m, denom)
+    parts = bvn_decompose(rows, denom)
+    del rows  # memory peaks while the parts are merged
+    items, m = instance.items, instance.m
+    merged: dict[tuple[frozenset[str], ...], int] = {}
     for weight, perm in parts:
-        bundles: list[set[str]] = [set() for _ in range(instance.n)]
-        for slot_idx, item_idx in enumerate(perm):
-            if item_idx < graph.real_item_count:
-                agent = graph.slots[slot_idx].agent
-                bundles[agent].add(graph.right_labels[item_idx])
+        bundles: list[list[str]] = [[] for _ in range(instance.n)]
+        for row, j in enumerate(perm):
+            if j < m:
+                bundles[owners[row]].append(items[j])
         key = tuple(frozenset(b) for b in bundles)
-        merged[key] = merged.get(key, Fraction(0)) + weight
-    entries = tuple(
-        (weight, IntegralAllocation(bundles=key)) for key, weight in merged.items()
-    )
-    if sum((w for w, _ in entries), Fraction(0)) != 1:
+        merged[key] = merged.get(key, 0) + weight
+    if sum(merged.values()) != denom:
         raise BobwInternalError("lottery weights do not sum to one")
-    return Lottery(entries=entries)
+    return Lottery(
+        entries=tuple(
+            (Fraction(weight, denom), IntegralAllocation(bundles=key))
+            for key, weight in merged.items()
+        )
+    )
 
 
 # ---------------------------------------------------------------------------

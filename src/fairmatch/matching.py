@@ -3,8 +3,8 @@
 This module bundles every matching primitive the library needs:
 
 * maximum-cardinality bipartite matching: Hopcroft-Karp over plain
-  adjacency rows, in pure Python, serving the rows of each decomposition
-  round;
+  adjacency rows, in pure Python, from scratch or grown from a starting
+  matching, serving the rows of each decomposition round;
 * one exact minimum-cost matching kernel: successive shortest paths with
   Dijkstra over the sparse adjacency lists and integer potentials, where
   a right vertex may take several left vertices up to its capacity (the
@@ -18,12 +18,14 @@ This module bundles every matching primitive the library needs:
   dictatorship over the best-first slot prefixes, narrowest first, with
   no graph built;
 * Birkhoff-von Neumann decomposition of exact doubly stochastic matrices,
-  given as sparse ``{column: entry}`` rows.
+  given as sparse ``{column: entry}`` rows, each round's matching grown
+  from the last round's permutation.
 
 No floating point anywhere: matching costs are integers after clearing
-denominators, and the decomposition scales the sparse rows once by the
-least common multiple of their denominators and subtracts integers, not
-rationals, until every row is empty.
+denominators, and the decomposition takes its rows as integers over a
+given denominator, or scales rational rows once by the least common
+multiple of theirs, and subtracts integers, not rationals, until every
+row is empty.
 """
 
 from __future__ import annotations
@@ -91,7 +93,11 @@ class PickingSequence:
 # Maximum-cardinality matching
 # ---------------------------------------------------------------------------
 
-def max_matching(adjacency: Sequence[Iterable[int]], right_count: int) -> Matching:
+def max_matching(
+    adjacency: Sequence[Iterable[int]],
+    right_count: int,
+    start: Sequence[int] | None = None,
+) -> Matching:
     """Maximum-cardinality matching by Hopcroft-Karp; deterministic.
 
     Left vertex ``i`` is adjacent to the right vertices that
@@ -100,29 +106,50 @@ def max_matching(adjacency: Sequence[Iterable[int]], right_count: int) -> Matchi
     read, so the ``{column: entry}`` rows of :func:`bvn_decompose` serve
     as they are.
 
+    ``start``, if given, is a matching to grow: ``start[i]`` is the right
+    vertex matched to left vertex ``i``, or -1.  It is copied, not
+    mutated; each of its pairs must be an edge, and a right vertex it
+    repeats (or one outside ``0 .. right_count - 1``) raises
+    :class:`ValueError`.  Augmenting paths only rematch vertices along
+    them, so every start pair no augmenting path needs is kept, a
+    maximum start comes back unchanged, and each round of the
+    decomposition re-augments only the rows its last round freed.
+
     Each phase layers the left vertices by a BFS from the free ones, in
     index order; ``up`` is the first layer whose scan reaches a free right
     vertex.  Phases stop when no layer does or when one side is covered.
     Then each free left vertex, in index order, runs a depth-first search
-    with a LIFO stack.  A popped vertex scans its neighbours in row
-    order: a free right vertex ends the search if the vertex sits one
-    layer short of ``up``; otherwise every matched row on the next layer
-    that this search has not visited is pushed.  A vertex whose scan finds
-    nothing leaves the layering for the rest of the phase.  The first
-    phase is the greedy pass.  Keep this order: the decomposition in
-    :func:`bvn_decompose`, and so every lottery, depends on which perfect
-    matching each round finds; it passes rows in ascending column order,
-    which pins the lotteries.
+    with a LIFO stack.  A popped vertex one layer short of ``up`` scans
+    its row for a free right vertex, which ends the search; a vertex on
+    an earlier layer pushes, in row order, every row on the next layer
+    that this search has not visited.  Every popped vertex but the one
+    that ends the search leaves the layering for the rest of the phase.
+    With no start, the first phase is the greedy pass.  The lotteries
+    depend on which perfect matching each round of :func:`bvn_decompose`
+    finds, so a change to this order changes them.
     """
     left = len(adjacency)
     inf = left + 1
     mate = [-1] * left  # right vertex matched to each left vertex
     owner = [-1] * right_count  # left vertex matched to each right one
     size = 0
+    if start is not None:
+        if len(start) != left:
+            raise ValueError(f"start has {len(start)} entries for {left} left vertices")
+        for i, j in enumerate(start):
+            if j == -1:
+                continue
+            if not 0 <= j < right_count:
+                raise ValueError(f"start matches left vertex {i} to {j}, not a right vertex")
+            if owner[j] >= 0:
+                raise ValueError(f"start matches right vertex {j} twice")
+            mate[i] = j
+            owner[j] = i
+            size += 1
     # a matching that covers one side is maximum: skip the last, empty phase
     while size < min(left, right_count):
         free = [i for i in range(left) if mate[i] < 0]
-        dist = [inf] * left
+        dist = [inf] * (left + 1)  # dist[-1], read for a free right vertex, stays inf
         for i in free:
             dist[i] = 0
         up = inf
@@ -146,14 +173,19 @@ def max_matching(adjacency: Sequence[Iterable[int]], right_count: int) -> Matchi
             while stack:
                 i = stack.pop()
                 d = dist[i] + 1
+                if d < up:
+                    # no free right vertex lies this close, or the BFS
+                    # would have stopped here: push the next layer
+                    for j in adjacency[i]:
+                        k = owner[j]
+                        if dist[k] == d and k not in parent:
+                            parent[k] = i
+                            stack.append(k)
+                    dist[i] = inf
+                    continue
                 for j in adjacency[i]:
-                    k = owner[j]
-                    if k < 0:
-                        if d == up:
-                            break
-                    elif dist[k] == d and k not in parent:
-                        parent[k] = i
-                        stack.append(k)
+                    if owner[j] < 0:
+                        break
                 else:
                     dist[i] = inf
                     continue
@@ -455,25 +487,35 @@ def extract_picking_sequence(matching: Matching, graph: BipartiteGraph) -> Picki
 # ---------------------------------------------------------------------------
 
 def bvn_decompose(
-    rows: Sequence[Mapping[int, Fraction]],
-) -> list[tuple[Fraction, tuple[int, ...]]]:
+    rows: Sequence[Mapping[int, Fraction | int]],
+    denominator: int | None = None,
+) -> list[tuple[Fraction | int, tuple[int, ...]]]:
     """Decompose an exact doubly stochastic matrix into permutation matrices.
 
     The matrix comes as sparse rows: ``rows[i]`` maps a column to its
     entry, and absent columns are zero.  Returns ``[(weight, perm), ...]``
     with ``perm[row] = column``, weights summing to exactly 1 and
-    ``sum(weight * permutation) == matrix``.  Each round finds a perfect
-    matching on the support (one exists by Hall's condition while the
-    matrix stays doubly stochastic), peels off the minimum entry along it,
-    and repeats; at least one entry is zeroed per round, so the part count
-    is at most ``p*p - p + 2``.
+    ``sum(weight * permutation) == matrix``.  Given ``denominator``, the
+    entries are integers over it, and so are the returned weights;
+    otherwise the entries are rationals, and the weights are fractions.
 
-    The columns are ordered and validated once.  The matrix is then scaled
-    by the least common multiple of its denominators, and each row is kept
-    as a ``{column: int}`` map of its positive entries, so a round costs
-    time in the size of the support and subtracts integers, not rationals.
+    Each round finds a perfect matching on the support (one exists by
+    Hall's condition while the matrix stays doubly stochastic), peels off
+    the minimum entry along it, and repeats; at least one entry is zeroed
+    per round, so the part count is at most ``p*p - p + 2``.  A round
+    starts :func:`max_matching` from the last round's permutation minus
+    the entries it zeroed, so only the freed rows are re-augmented.
+
+    The columns are ordered and validated once.  Rational rows are scaled
+    by the least common multiple of their denominators, and each row is
+    kept as a ``{column: int}`` map of its positive entries, so a round
+    costs time in the size of the support and subtracts integers, not
+    rationals.
     """
     p = len(rows)
+    # built in ascending column order and only ever shrunk, so the keys of
+    # every row stay sorted and each round hands the rows to
+    # :func:`max_matching` as they are
     work: list[dict] = []
     for row in rows:
         entries = {}
@@ -482,18 +524,17 @@ def bvn_decompose(
                 raise NotDoublyStochastic("a column lies outside the matrix")
             x = row[j]
             if x:
-                x = Fraction(x)
-                if x.numerator < 0:
+                if x < 0:
                     raise NotDoublyStochastic("matrix has a negative entry")
                 entries[j] = x
         work.append(entries)
-    denom = math.lcm(*(x.denominator for row in work for x in row.values()))
-    # scaled in place; built in ascending column order and only ever shrunk,
-    # so the keys of every row stay sorted and each round hands the rows to
-    # :func:`max_matching` as they are
-    for row in work:
-        for j, x in row.items():
-            row[j] = x.numerator * (denom // x.denominator)
+    denom = denominator
+    if denom is None:
+        denom = math.lcm(*(Fraction(x).denominator for row in work for x in row.values()))
+        for row in work:
+            for j, x in row.items():
+                x = Fraction(x)
+                row[j] = x.numerator * (denom // x.denominator)
     column_sums = [0] * p
     for row in work:
         if sum(row.values()) != denom:
@@ -506,21 +547,23 @@ def bvn_decompose(
     bound = p * p - p + 2
     parts: list[tuple[int, tuple[int, ...]]] = []
     remaining = denom
+    start = None
     while remaining > 0:
-        match = max_matching(work, p)
+        match = max_matching(work, p, start)
         if len(match) != p:
             raise MatchingInternalError(
                 "doubly stochastic support lost its perfect matching"
             )
-        left = match.left_map()
-        perm = tuple(left[i] for i in range(p))
-        weight = min(work[i][perm[i]] for i in range(p))
+        perm = tuple([j for _, j in match.pairs])
+        weight = min(map(dict.__getitem__, work, perm), default=remaining)
+        start = list(perm)
         for i, j in enumerate(perm):
             rest = work[i][j] - weight
             if rest:
                 work[i][j] = rest
             else:
                 del work[i][j]
+                start[i] = -1
         parts.append((weight, perm))
         if len(parts) > bound:
             raise MatchingInternalError(
@@ -529,6 +572,8 @@ def bvn_decompose(
         remaining -= weight
     if any(work):
         raise MatchingInternalError("decomposition left a nonzero residual")
+    if denominator is not None:
+        return parts
     return [(Fraction(weight, denom), perm) for weight, perm in parts]
 
 

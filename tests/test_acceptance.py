@@ -8,13 +8,14 @@ asserted directly.
 
 import itertools
 import json
+import math
 import random
 import subprocess
 import sys
 import time
 from fractions import Fraction
 
-from fairmatch.allocgraph import build_allocation_graph, extend_allocation_graph
+from fairmatch.allocgraph import build_allocation_graph, extend_allocation_graph, slot_count
 from fairmatch.bobw import uniform_lottery
 from fairmatch.core import (
     IntegralAllocation,
@@ -324,6 +325,39 @@ def test_criterion_07b_uniform_lottery_at_scale():
         f"07b uniform lottery at scale: PASS (goods 20x100, "
         f"{len(lottery.entries)} parts in {elapsed:.2f}s)"
     )
+
+
+def test_criterion_07c_uniform_lottery_at_the_cliffs():
+    # these took 5.2 s (goods) and 3.4 s (chores) when every round ran
+    # Hopcroft-Karp from scratch and the goods matrix kept a row per spare
+    # slot; the uniform_lottery call alone must stay well under 5 s
+    for kind in ("goods", "chores"):
+        inst = generate_instance(100, 500, kind, 43)
+        start = time.monotonic()
+        lottery = uniform_lottery(inst)
+        elapsed = time.monotonic() - start
+        assert elapsed < 5, f"uniform_lottery {kind} 100x500 took {elapsed:.2f}s"
+        # the mixture in integers over the common denominator of the weights
+        denom = math.lcm(*(w.denominator for w, _ in lottery.entries))
+        assert sum(w.numerator * (denom // w.denominator) for w, _ in lottery.entries) == denom
+        index = {item: j for j, item in enumerate(inst.items)}
+        mass = [[0] * inst.m for _ in range(inst.n)]
+        for weight, allocation in lottery.entries:
+            scaled = weight.numerator * (denom // weight.denominator)
+            for i, bundle in enumerate(allocation.bundles):
+                for item in bundle:
+                    mass[i][index[item]] += scaled
+        for i in range(inst.n):
+            alpha = inst.entitlement(i)
+            assert all(x * alpha.denominator == alpha.numerator * denom for x in mass[i]), (kind, i)
+        for _, allocation in lottery.entries:
+            assert check_allocation(inst, allocation).passes, kind
+        rows = sum(slot_count(inst, i) + (kind == "goods") for i in range(inst.n))
+        assert len(lottery.entries) <= rows * rows - rows + 2
+        report(
+            f"07c uniform lottery at the old cliffs: PASS ({kind} 100x500, "
+            f"{len(lottery.entries)} parts in {elapsed:.2f}s)"
+        )
 
 
 def test_criterion_08_optimization_matches_brute_force():

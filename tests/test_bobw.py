@@ -6,14 +6,14 @@ from pathlib import Path
 
 import pytest
 
-from fairmatch.allocgraph import build_allocation_graph, extend_allocation_graph
+from fairmatch.allocgraph import build_allocation_graph, extend_allocation_graph, slot_count
 from fairmatch.bobw import (
     build_fractional_matching,
     lottery_from_json,
     lottery_to_json,
     uniform_lottery,
 )
-from fairmatch.core import generate_instance, validate_instance
+from fairmatch.core import IntegralAllocation, generate_instance, validate_instance
 from fairmatch.fairness import check_allocation, check_wsdef_fractional
 
 
@@ -159,6 +159,92 @@ def test_lottery_properties_random_instances():
             for _, allocation in lottery.entries:
                 assert check_allocation(inst, allocation).passes
                 assert sum(len(b) for b in allocation.bundles) == inst.m
+
+
+def assert_exact_lottery(inst, lottery):
+    """Probabilities sum to 1, the mixture is exact, every part verifies and
+    hands out every item, and the part count keeps the decomposition bound
+    of the rows it decomposed: every chores slot, and each goods agent's
+    real slots plus its first spare slot."""
+    assert sum(w for w, _ in lottery.entries) == 1
+    assert all(w > 0 for w, _ in lottery.entries)
+    mix = lottery.mixture(inst)
+    for i in range(inst.n):
+        assert all(share == inst.entitlement(i) for share in mix.shares[i])
+    for _, allocation in lottery.entries:
+        assert check_allocation(inst, allocation).passes
+        assert sum(map(len, allocation.bundles)) == inst.m
+    rows = sum(slot_count(inst, i) + (inst.kind == "goods") for i in range(inst.n))
+    assert len(lottery.entries) <= rows * rows - rows + 2
+
+
+@pytest.mark.parametrize("kind", ["goods", "chores"])
+def test_lottery_without_items_is_one_empty_part(kind):
+    inst = make(kind, [], [("a1", Fraction(1, 3), []), ("a2", Fraction(2, 3), [])])
+    lottery = uniform_lottery(inst)
+    assert lottery.entries == ((1, IntegralAllocation(bundles=(frozenset(), frozenset()))),)
+    assert_exact_lottery(inst, lottery)
+
+
+@pytest.mark.parametrize("kind", ["goods", "chores"])
+def test_single_agent_lottery_takes_everything(kind):
+    items = [f"b{j}" for j in range(1, 6)]
+    inst = make(kind, items, [("a1", Fraction(1), items[::-1])])
+    lottery = uniform_lottery(inst)
+    assert lottery.entries == ((1, IntegralAllocation(bundles=(frozenset(items),))),)
+    assert_exact_lottery(inst, lottery)
+
+
+def test_goods_first_spare_slot_with_a_whole_interval():
+    # m * alpha is an integer for a1 (12/4 = 3) and a2 (12/3 = 4): their
+    # last interval is whole, so their first spare slot holds one full
+    # unit of real goods and no dummy
+    items = [f"b{j}" for j in range(1, 13)]
+    agents = [
+        ("a1", Fraction(1, 4), items),
+        ("a2", Fraction(1, 3), items[::-1]),
+        ("a3", Fraction(5, 12), items[3:] + items[:3]),
+    ]
+    inst = make("goods", items, agents)
+    graph = extended(inst)
+    weights = build_fractional_matching(inst, graph).weights
+    for i in (0, 1):
+        spare = next(k for k, slot in enumerate(graph.slots) if slot.agent == i and slot.spare)
+        row = {j: w for (slot, j), w in weights.items() if slot == spare}
+        assert all(j < inst.m for j in row) and sum(row.values()) == 1
+    assert_exact_lottery(inst, uniform_lottery(inst))
+
+
+def test_chores_slots_without_real_weight():
+    # m * alpha is an integer for every agent, so each agent's last slot
+    # (floor(m * alpha) + 1) carries dummy weight only
+    items = [f"b{j}" for j in range(1, 9)]
+    agents = [
+        ("a1", Fraction(1, 2), items),
+        ("a2", Fraction(1, 4), items[::-1]),
+        ("a3", Fraction(1, 4), items[2:] + items[:2]),
+    ]
+    inst = make("chores", items, agents)
+    graph = extended(inst)
+    weights = build_fractional_matching(inst, graph).weights
+    last = [max(k for k, slot in enumerate(graph.slots) if slot.agent == i) for i in range(3)]
+    for slot in last:
+        assert all(j >= inst.m for (s, j) in weights if s == slot)
+        assert sum(w for (s, _), w in weights.items() if s == slot) == 1
+    assert_exact_lottery(inst, uniform_lottery(inst))
+
+
+@pytest.mark.parametrize("kind", ["goods", "chores"])
+def test_lottery_with_a_large_entitlement_lcm(kind):
+    # the common denominator is 7 * 11 * 13 * 17 = 17017
+    items = [f"b{j}" for j in range(1, 21)]
+    shares = [Fraction(1, 7), Fraction(2, 11), Fraction(3, 13), Fraction(4, 17)]
+    shares.append(1 - sum(shares))
+    agents = [
+        (f"a{i + 1}", share, items[i:] + items[:i]) for i, share in enumerate(shares)
+    ]
+    inst = make(kind, items, agents)
+    assert_exact_lottery(inst, uniform_lottery(inst))
 
 
 @pytest.mark.parametrize("kind", ["goods", "chores"])

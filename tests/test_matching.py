@@ -190,10 +190,10 @@ def test_max_matching_pairs_equal_scipy_on_bvn_support_graphs(monkeypatch):
 
     supports = []
 
-    def recording(adjacency, right_count):
+    def recording(adjacency, right_count, start=None):
         # bvn_decompose shrinks its rows after each call: keep them as called
         supports.append((tuple(map(tuple, adjacency)), right_count))
-        return max_matching(adjacency, right_count)
+        return max_matching(adjacency, right_count, start)
 
     monkeypatch.setattr(matching, "max_matching", recording)
     for seed, (n, m) in enumerate([(3, 9), (4, 12), (5, 20), (8, 40)]):
@@ -223,6 +223,101 @@ def test_max_matching_size_agrees_with_networkx_beyond_brute_force():
         assert len(match) == expected, trial
         assert len({j for _, j in match.pairs}) == len(match)
         assert all(graph.has_edge(i, j) for i, j in match.pairs)
+
+
+def arbitrary_matching(rng, adjacency, right_count):
+    """A maximal matching, not always a maximum one: rows in random order
+    each take a random free neighbour."""
+    taken = [False] * right_count
+    pairs = []
+    for i in rng.sample(range(len(adjacency)), len(adjacency)):
+        free = [j for j in adjacency[i] if not taken[j]]
+        if free:
+            j = rng.choice(free)
+            taken[j] = True
+            pairs.append((i, j))
+    return pairs
+
+
+def test_max_matching_from_a_start_reaches_the_maximum_size():
+    rng = random.Random(53)
+    seen = dict.fromkeys(
+        ["perfect", "not perfect", "empty start", "complete start", "partial start"], 0
+    )
+    for trial in range(1500):
+        left = rng.randint(0, 14)
+        right = left if trial % 2 else rng.randint(0, 14)
+        density = rng.choice([0.15, 0.3, 0.6, 1.0])
+        adjacency = tuple(
+            tuple(j for j in range(right) if rng.random() < density) for _ in range(left)
+        )
+        best = max_matching(adjacency, right)
+        seen["perfect" if len(best) == left == right else "not perfect"] += 1
+        # a sub-matching of a maximum matching or of an arbitrary one
+        base = best.pairs if trial % 3 else arbitrary_matching(rng, adjacency, right)
+        keep = rng.choice([0.0, 1.0, rng.random()])
+        start = [-1] * left
+        for i, j in base:
+            if keep == 1.0 or rng.random() < keep:
+                start[i] = j
+        kept = sum(j >= 0 for j in start)
+        if kept == 0:
+            seen["empty start"] += 1
+        else:
+            seen["complete start" if kept == len(base) else "partial start"] += 1
+        frozen = list(start)
+        got = max_matching(adjacency, right, start)
+        assert start == frozen, trial
+        assert len(got) == len(best), trial
+        assert all(j in adjacency[i] for i, j in got.pairs), trial
+        assert len({j for _, j in got.pairs}) == len(got), trial
+        # an augmenting path rematches the vertices along it: whatever the
+        # start matched stays matched
+        matched = got.left_map()
+        assert all(i in matched for i, j in enumerate(start) if j >= 0), trial
+        assert {j for j in start if j >= 0} <= set(matched.values()), trial
+        if kept == len(best):
+            # no augmenting path exists: a maximum start comes back unchanged
+            assert got.pairs == tuple((i, j) for i, j in enumerate(start) if j >= 0), trial
+    assert min(seen.values()) >= 100, seen
+
+
+def test_max_matching_keeps_the_start_pairs_no_augmenting_path_needs():
+    # two disjoint graphs side by side: the second starts from a maximum
+    # matching, so no augmenting path enters it and its pairs all stay
+    rng = random.Random(59)
+    for trial in range(400):
+        a_left, a_right = rng.randint(1, 10), rng.randint(1, 10)
+        b_left, b_right = rng.randint(1, 10), rng.randint(1, 10)
+        density = rng.choice([0.2, 0.5, 1.0])
+        a = [[j for j in range(a_right) if rng.random() < density] for _ in range(a_left)]
+        b = [[j for j in range(b_right) if rng.random() < density] for _ in range(b_left)]
+        b_start = [-1] * b_left
+        for i, j in max_matching(b, b_right).pairs:
+            b_start[i] = a_right + j
+        a_start = [-1] * a_left
+        for i, j in arbitrary_matching(rng, a, a_right):
+            if rng.random() < 0.5:
+                a_start[i] = j
+        adjacency = a + [[a_right + j for j in row] for row in b]
+        start = a_start + b_start
+        got = max_matching(adjacency, a_right + b_right, start).left_map()
+        assert all(got.get(a_left + i) == j for i, j in enumerate(b_start) if j >= 0), trial
+        assert len(got) == len(max_matching(adjacency, a_right + b_right)), trial
+
+
+def test_max_matching_rejects_a_bad_start():
+    adjacency = ((0, 1), (0, 1), (1, 2))
+    with pytest.raises(ValueError, match="twice"):
+        max_matching(adjacency, 3, [1, 1, -1])
+    with pytest.raises(ValueError):
+        max_matching(adjacency, 3, [0, 3, -1])
+    with pytest.raises(ValueError):
+        max_matching(adjacency, 3, [0, -2, -1])
+    with pytest.raises(ValueError):
+        max_matching(adjacency, 3, [0, 1])
+    # a valid start, as a tuple, is grown to a maximum matching
+    assert len(max_matching(adjacency, 3, (1, -1, -1))) == 3
 
 
 # ---------------------------------------------------------------------------
@@ -911,17 +1006,21 @@ def test_bvn_random_exact_reconstruction():
 
 def dense_rational_bvn(matrix):
     """The decomposition on a dense matrix of rationals, one support graph
-    per round: the reference the scaled sparse version must reproduce."""
+    per round, each round's matching started from the last round's
+    permutation minus the entries it zeroed: the reference the scaled
+    sparse version must reproduce."""
     p = len(matrix)
     work = [[Fraction(x) for x in row] for row in matrix]
     parts = []
+    start = None
     while any(x for row in work for x in row):
         support = [[j for j in range(p) if work[i][j] > 0] for i in range(p)]
-        left = max_matching(support, p).left_map()
+        left = max_matching(support, p, start).left_map()
         perm = tuple(left[i] for i in range(p))
         weight = min(work[i][perm[i]] for i in range(p))
         for i in range(p):
             work[i][perm[i]] -= weight
+        start = [perm[i] if work[i][perm[i]] else -1 for i in range(p)]
         parts.append((weight, perm))
     return parts
 
