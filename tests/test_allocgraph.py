@@ -359,38 +359,20 @@ def test_slot_prefixes_hold_the_graph_rows(kind):
             inst = generate_instance(n, m, kind, seed)
             graph = build_allocation_graph(inst)
             agents = list(slot_reaches(inst))
-            assert tuple(best_first for best_first, _ in agents) == graph.preferences
             prefixes = [
                 (i, best_first[:reach])
                 for i, (best_first, reaches) in enumerate(agents)
                 for reach in reaches
             ]
             assert len(prefixes) == graph.left_count, (n, m, seed)
-            for slot, row, (agent, prefix) in zip(graph.slots, graph.adjacency, prefixes):
+            for slot, row, ranks, (agent, prefix) in zip(
+                graph.slots, graph.adjacency, graph.ranks, prefixes
+            ):
                 assert slot.agent == agent
                 assert len(set(prefix)) == len(prefix) == len(row)
                 assert set(prefix) == set(row), (n, m, seed, slot)
-
-
-def test_ranks_are_built_on_first_read_and_kept():
-    inst = generate_instance(4, 20, "chores", 3)
-    graph = build_allocation_graph(inst)
-    assert "ranks" not in vars(graph)
-    ranks = graph.ranks
-    assert graph.ranks is ranks
-    # an explicitly given ranks tuple is kept as it is
-    copy = type(graph)(
-        left_labels=graph.left_labels,
-        right_labels=graph.right_labels,
-        adjacency=graph.adjacency,
-        ranks=ranks,
-        kind=graph.kind,
-        slots=graph.slots,
-        real_item_count=graph.real_item_count,
-        preferences=graph.preferences,
-    )
-    assert copy.ranks is ranks
-    assert copy == graph
+                # the prefix lists the row best first: its k-th item has rank k
+                assert sorted(zip(ranks, row)) == list(enumerate(prefix, start=1))
 
 
 # ---------------------------------------------------------------------------

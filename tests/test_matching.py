@@ -7,11 +7,13 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from scaled_assignment import scaled_assignment
 
 from fairmatch.allocgraph import (
     build_allocation_graph,
     extend_allocation_graph,
     ranked_graph,
+    slot_reaches,
     spare_slot_count,
 )
 from fairmatch.core import (
@@ -27,7 +29,6 @@ from fairmatch.matching import (
     NotDoublyStochastic,
     NotRankMaximal,
     allocation_from_matching,
-    assignment_min_cost,
     bvn_decompose,
     enumerate_side_perfect_matchings,
     extract_picking_sequence,
@@ -98,6 +99,11 @@ def brute_force_max_matching_size(graph):
         return best
 
     return go(0, 0)
+
+
+def best_first_items(inst):
+    """Each agent's item indices best first, as ``slot_reaches`` yields them."""
+    return [best_first for best_first, _ in slot_reaches(inst)]
 
 
 def all_perfect_matchings(graph):
@@ -328,14 +334,14 @@ def test_assignment_two_by_two_diagonal():
     edges = {(i, j): 1 for i in range(2) for j in range(2)}
     graph = ranked_graph(["l0", "l1"], ["r0", "r1"], edges)
     costs = {(0, 0): 0, (0, 1): 1, (1, 0): 1, (1, 1): 0}
-    match = assignment_min_cost(graph, lambda i, j: Fraction(costs[(i, j)]))
+    match = scaled_assignment(graph, lambda i, j: Fraction(costs[(i, j)]))
     assert match.pairs == ((0, 0), (1, 1))
 
 
 def test_assignment_unit_costs_any_perfect_matching():
     rng = random.Random(1)
     graph = random_ranked_graph(rng, 4, 4, density=1.0)
-    match = assignment_min_cost(graph, lambda i, j: Fraction(1))
+    match = scaled_assignment(graph, lambda i, j: Fraction(1))
     assert len(match) == 4
 
 
@@ -354,10 +360,10 @@ def test_assignment_matches_brute_force_min():
         perfect = list(all_perfect_matchings(graph))
         if not perfect:
             with pytest.raises(NoPerfectMatching):
-                assignment_min_cost(graph, lambda i, j: costs[(i, j)])
+                scaled_assignment(graph, lambda i, j: costs[(i, j)])
             continue
         best = min(sum(costs[(i, perm[i])] for i in range(p)) for perm in perfect)
-        match = assignment_min_cost(graph, lambda i, j: costs[(i, j)])
+        match = scaled_assignment(graph, lambda i, j: costs[(i, j)])
         got = sum(costs[pair] for pair in match.pairs)
         assert got == best, f"trial {trial}"
 
@@ -366,7 +372,7 @@ def test_assignment_maximize():
     edges = {(i, j): 1 for i in range(2) for j in range(2)}
     graph = ranked_graph(["l0", "l1"], ["r0", "r1"], edges)
     costs = {(0, 0): 5, (0, 1): 1, (1, 0): 1, (1, 1): 5}
-    match = assignment_min_cost(graph, lambda i, j: Fraction(costs[(i, j)]), maximize=True)
+    match = scaled_assignment(graph, lambda i, j: Fraction(costs[(i, j)]), maximize=True)
     assert match.pairs == ((0, 0), (1, 1))
 
 
@@ -385,7 +391,7 @@ def test_assignment_e1_extended_competence():
             return Fraction(0)
         return 1 - skill[(graph.slots[i].agent, graph.right_labels[j])]
 
-    match = assignment_min_cost(graph, cost)
+    match = scaled_assignment(graph, cost)
     allocation = allocation_from_matching(match, graph, inst)
     assert allocation.bundles == (frozenset({"b1"}), frozenset({"b2", "b3"}))
 
@@ -502,13 +508,13 @@ def test_assignment_agrees_with_networkx_beyond_brute_force():
         size, total = networkx_best(graph, lambda i, j: 10**4 - costs[(i, j)])
         if size < p:
             with pytest.raises(NoPerfectMatching):
-                assignment_min_cost(graph, lambda i, j: costs[(i, j)])
+                scaled_assignment(graph, lambda i, j: costs[(i, j)])
             continue
         solved += 1
-        match = assignment_min_cost(graph, lambda i, j: costs[(i, j)])
+        match = scaled_assignment(graph, lambda i, j: costs[(i, j)])
         assert len(match) == p, trial
         assert sum(costs[pair] for pair in match.pairs) == p * 10**4 - total, trial
-        high = assignment_min_cost(graph, lambda i, j: costs[(i, j)], maximize=True)
+        high = scaled_assignment(graph, lambda i, j: costs[(i, j)], maximize=True)
         _, top = networkx_best(graph, lambda i, j: 10**4 + costs[(i, j)])
         assert sum(costs[pair] for pair in high.pairs) == top - p * 10**4, trial
     assert solved >= 8
@@ -534,10 +540,10 @@ def test_assignment_with_repeated_rows_agrees_with_networkx():
         size, total = networkx_best(graph, lambda i, j: 10**4 - costs[(i, j)])
         if size < p:
             with pytest.raises(NoPerfectMatching):
-                assignment_min_cost(graph, lambda i, j: costs[(i, j)])
+                scaled_assignment(graph, lambda i, j: costs[(i, j)])
             continue
         solved += 1
-        match = assignment_min_cost(graph, lambda i, j: costs[(i, j)])
+        match = scaled_assignment(graph, lambda i, j: costs[(i, j)])
         assert sum(costs[pair] for pair in match.pairs) == p * 10**4 - total, trial
     assert solved >= 8
 
@@ -561,10 +567,10 @@ def test_capacitated_assignment_agrees_with_networkx_on_copied_columns():
         size, total = networkx_best(copied, lambda i, k: 10**4 - costs[(i, copies[k])])
         if size < left:
             with pytest.raises(NoPerfectMatching):
-                assignment_min_cost(graph, lambda i, j: costs[(i, j)], capacity=capacity)
+                scaled_assignment(graph, lambda i, j: costs[(i, j)], capacity=capacity)
             continue
         solved += 1
-        match = assignment_min_cost(graph, lambda i, j: costs[(i, j)], capacity=capacity)
+        match = scaled_assignment(graph, lambda i, j: costs[(i, j)], capacity=capacity)
         assert sorted(i for i, _ in match.pairs) == list(range(left)), trial
         assert all(graph.has_edge(i, j) for i, j in match.pairs), trial
         load = [0] * right
@@ -572,7 +578,7 @@ def test_capacitated_assignment_agrees_with_networkx_on_copied_columns():
             load[j] += 1
         assert all(x <= c for x, c in zip(load, capacity)), trial
         assert sum(costs[pair] for pair in match.pairs) == left * 10**4 - total, trial
-        high = assignment_min_cost(
+        high = scaled_assignment(
             graph, lambda i, j: costs[(i, j)], maximize=True, capacity=capacity
         )
         _, top = networkx_best(copied, lambda i, k: 10**4 + costs[(i, copies[k])])
@@ -585,16 +591,16 @@ def test_capacitated_assignment_without_room_raises():
     graph = ranked_graph(
         ["l0", "l1", "l2"], ["r0", "r1"], {(0, 0): 1, (1, 0): 1, (2, 0): 1, (2, 1): 1}
     )
-    match = assignment_min_cost(graph, lambda i, j: j, capacity=[2, 1])
+    match = scaled_assignment(graph, lambda i, j: j, capacity=[2, 1])
     assert match.pairs == ((0, 0), (1, 0), (2, 1))
     with pytest.raises(NoPerfectMatching):
-        assignment_min_cost(graph, lambda i, j: j, capacity=[2, 0])
+        scaled_assignment(graph, lambda i, j: j, capacity=[2, 0])
     edges = {(0, 0): 1, (1, 0): 1, (2, 0): 1}
     graph = ranked_graph(["l0", "l1", "l2"], ["r0"], edges)
     with pytest.raises(NoPerfectMatching):
-        assignment_min_cost(graph, lambda i, j: 0, capacity=[2])
+        scaled_assignment(graph, lambda i, j: 0, capacity=[2])
     with pytest.raises(ValueError):
-        assignment_min_cost(graph, lambda i, j: 0, capacity=[2, 1])
+        scaled_assignment(graph, lambda i, j: 0, capacity=[2, 1])
 
 
 def test_rank_maximal_agrees_with_networkx_beyond_brute_force():
@@ -748,10 +754,11 @@ def solve_matching(inst, graph):
     ends with the picks of spare slots, which the plain graph does not hold.
     """
     _, sequence = solve_with_sequence(inst)
+    preferences = best_first_items(inst)
     available = set(range(inst.m))
     pairs = []
     for s, agent in zip(sequence.slots, sequence.sequence):
-        pick = next(j for j in graph.preferences[agent] if j in available)
+        pick = next(j for j in preferences[agent] if j in available)
         available.discard(pick)
         pairs.append((s, pick))
     tail = sequence.slots[len(pairs):]
@@ -1111,8 +1118,9 @@ def graph_rows_allocation(inst):
     extended graph, agent-major, q per agent.
     """
     graph = build_allocation_graph(inst)
+    preferences = best_first_items(inst)
     rows = [
-        graph.preferences[slot.agent][:len(adj)]
+        preferences[slot.agent][:len(adj)]
         for slot, adj in zip(graph.slots, graph.adjacency)
     ]
     assert list(map(sorted, rows)) == list(map(list, graph.adjacency))
@@ -1153,6 +1161,7 @@ def test_sequence_slots_are_the_plain_slots_in_pick_order(kind):
             inst = generate_instance(n, m, kind, seed)
             graph = build_allocation_graph(inst)
             _, sequence = solve_with_sequence(inst)
+            preferences = best_first_items(inst)
             assert sorted(sequence.slots) == list(range(graph.left_count))
             assert len(sequence.sequence) == m
             # chores: every chore is picked by a slot; goods: every slot
@@ -1161,7 +1170,7 @@ def test_sequence_slots_are_the_plain_slots_in_pick_order(kind):
             available = set(range(m))
             for s, agent in zip(sequence.slots, sequence.sequence):
                 assert graph.slots[s].agent == agent, (n, m, seed, s)
-                pick = next(j for j in graph.preferences[agent] if j in available)
+                pick = next(j for j in preferences[agent] if j in available)
                 assert pick in graph.adjacency[s], (n, m, seed, s)
                 available.discard(pick)
             # picks narrowest first, then the empty-handed tail narrowest first
@@ -1172,7 +1181,7 @@ def test_sequence_slots_are_the_plain_slots_in_pick_order(kind):
 
 def test_enumerate_side_perfect_matchings_e1():
     graph = build_allocation_graph(e1())
-    matchings = enumerate_side_perfect_matchings(graph, saturate="right")
+    matchings = list(enumerate_side_perfect_matchings(graph, saturate="right"))
     # every chore matched, no slot reused
     for match in matchings:
         assert len({j for _, j in match.pairs}) == 3
@@ -1182,6 +1191,6 @@ def test_enumerate_side_perfect_matchings_e1():
     }
     assert len(allocations) == 6
     # the cap bounds the matchings found, not the allocations
-    assert enumerate_side_perfect_matchings(graph, "right", cap=len(matchings)) == matchings
+    assert list(enumerate_side_perfect_matchings(graph, "right", cap=len(matchings))) == matchings
     with pytest.raises(InstanceTooLarge):
-        enumerate_side_perfect_matchings(graph, "right", cap=len(matchings) - 1)
+        list(enumerate_side_perfect_matchings(graph, "right", cap=len(matchings) - 1))

@@ -4,8 +4,10 @@ import random
 from fractions import Fraction
 
 import pytest
+from scaled_assignment import scaled_assignment
 
-from fairmatch.allocgraph import build_allocation_graph, extend_allocation_graph
+import fairmatch.optimize
+from fairmatch.allocgraph import build_allocation_graph, extend_allocation_graph, spare_slot_count
 from fairmatch.core import FormatError, generate_instance, validate_instance
 from fairmatch.fairness import check_allocation, enumerate_wsdprop1
 from fairmatch.matching import assignment_min_cost
@@ -149,7 +151,7 @@ def extended_graph_optimum(instance, spec):
             return Fraction(0)
         return spec.values[(graph.slots[slot].agent, graph.right_labels[item])]
 
-    match = assignment_min_cost(graph, cost, maximize=spec.direction == MAXIMIZE)
+    match = scaled_assignment(graph, cost, maximize=spec.direction == MAXIMIZE)
     return sum((cost(i, j) for i, j in match.pairs), Fraction(0))
 
 
@@ -170,6 +172,57 @@ def test_optimum_equals_extended_graph_formulation():
                     case = (kind, n, m, seed, direction)
                     assert objective == extended_graph_optimum(inst, spec), case
                     assert check_allocation(inst, allocation).passes, case
+
+
+# the sizes of the 176-instance output sweep in test_cli.py
+SWEEP = [
+    (n, m, seed)
+    for n, m, seeds in [
+        (3, 9, range(20)), (5, 20, range(20)), (8, 40, range(20)),
+        (12, 60, range(20)), (20, 100, range(5)), (6, 30, (5, 28)), (8, 40, (30,)),
+    ]
+    for seed in seeds
+]
+
+
+@pytest.mark.parametrize("kind", ["goods", "chores"])
+def test_kernel_columns_are_the_transposed_plain_graph(kind, monkeypatch):
+    # the item rows optimize hands the kernel list, for each item, the plain
+    # graph's slots that reach it in slot order, then for goods each
+    # agent's spare column; the graph stays the reference
+    calls = []
+
+    def record(adjacency, costs, right_count, capacity=None):
+        calls.append(([list(row) for row in adjacency], right_count, list(capacity)))
+        return assignment_min_cost(adjacency, costs, right_count, capacity)
+
+    monkeypatch.setattr(fairmatch.optimize, "assignment_min_cost", record)
+    for n, m, seed in SWEEP:
+        inst = generate_instance(n, m, kind, seed)
+        rng = random.Random(seed)
+        values = {
+            (i, item): Fraction(rng.randint(0, 20), rng.randint(1, 6))
+            for i in range(n)
+            for item in inst.items
+        }
+        allocation, _ = optimize_allocation(inst, CostSpec(values=values))
+        assert check_allocation(inst, allocation).passes
+        graph = build_allocation_graph(inst)
+        real = graph.left_count
+        columns = [[] for _ in range(m)]
+        for s, row in enumerate(graph.adjacency):
+            for j in row:
+                columns[j].append(s)
+        capacity = [1] * real
+        q = spare_slot_count(inst) if kind == "goods" else 0
+        if q:
+            for column in columns:
+                column += range(real, real + n)
+            capacity += [q] * n
+        (adjacency, right_count, given), = calls
+        calls.clear()
+        assert adjacency == columns, (n, m, seed)
+        assert right_count == len(capacity) and given == capacity, (n, m, seed)
 
 
 def test_incomplete_cost_spec_rejected():
