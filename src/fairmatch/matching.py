@@ -5,13 +5,14 @@ This module bundles every matching primitive the library needs:
 * maximum-cardinality bipartite matching: Hopcroft-Karp over plain
   adjacency rows, in pure Python, from scratch or grown from a starting
   matching, serving the rows of each decomposition round;
-* one exact minimum-cost matching kernel over integer cost rows:
-  successive shortest paths with Dijkstra over the sparse adjacency
-  lists and integer potentials, where a right vertex may take several
-  left vertices up to its capacity (the spare slots of one agent as one
-  vertex).  It serves both ``optimize``, whose costs arrive as integers
-  over one common denominator, and rank-maximal matching (an edge of
-  rank ``r`` weighs ``B**(w - r)``);
+* one exact minimum-cost matching kernel over integer cost rows: a
+  maximum matching of the edges left tight by row reduction, then
+  successive shortest paths from the rows it leaves free, with Dijkstra
+  over the sparse adjacency lists and integer potentials, where a right
+  vertex may take several left vertices up to its capacity (the spare
+  slots of one agent as one vertex).  It serves both ``optimize``, whose
+  costs arrive as integers over one common denominator, and rank-maximal
+  matching (an edge of rank ``r`` weighs ``B**(w - r)``);
 * rank-maximal perfect matchings (the paper's construction, kept as a
   reference), signatures, slot-order normalization and picking-sequence
   extraction;
@@ -235,14 +236,34 @@ def assignment_min_cost(
     be filled.  Returns one pair per left vertex, in left order; raises
     :class:`NoPerfectMatching` when some left vertex cannot be saturated.
 
-    Successive shortest paths: each left vertex, in index order, augments
-    along a shortest alternating path to a right vertex with room left,
-    found by Dijkstra over the reduced costs ``c - u[i] - v[j]``, which
-    stay nonnegative under exact integer potentials (``u`` starts at the
-    row minimum, ``v`` at zero).  A settled right vertex with room ends
-    the search; a full one relaxes every left vertex matched to it, all
-    of which share its distance because their edges to it are tight.
-    Heap entries are ``(distance, right)``, so ties break by vertex index.
+    The potentials start at ``u`` = row minimum and ``v`` = 0, so every
+    reduced cost ``c - u[i] - v[j]`` is nonnegative and each row's
+    cheapest edges are tight (reduced cost zero).  The tight start of
+    Jonker and Volgenant ("A shortest augmenting path algorithm for dense
+    and sparse linear assignment problems", Computing 38, 1987) begins
+    from a maximum matching (:func:`max_matching`) of the tight edges to
+    unit right vertices; right vertices of other capacities are left to
+    the searches.  The duals stay feasible and complementary: every
+    matched edge is tight, every reduced cost is nonnegative, and every
+    right vertex still has ``v`` = 0, the value an unfilled one must
+    have.  So the optimum is the one the searches alone would reach;
+    only among equal-cost matchings may the start pick another.
+
+    Successive shortest paths then saturate the left vertices the start
+    leaves free, in index order: each augments along a shortest
+    alternating path to a right vertex with room left, found by Dijkstra
+    over the reduced costs, which stay nonnegative under exact integer
+    potentials.  A settled right vertex with room ends the search; a full
+    one relaxes every left vertex matched to it, all of which share its
+    distance because their edges to it are tight.  The heap orders
+    ``(distance, full, right)``: at equal distance a right vertex with
+    room pops first and ends the search, where a search that settled
+    full vertices first would relax their rows for nothing, and other
+    ties break by vertex index.  Each entry is that triple packed into
+    one integer, ``(2 * distance + full) * right_count + right``, which
+    orders the same way; unlike a tuple, an integer is no container the
+    garbage collector counts, so the pushes of a long search trigger no
+    collections over the caller's objects.
     """
     if capacity is not None and len(capacity) != right_count:
         raise ValueError("capacity needs one entry per right vertex")
@@ -254,7 +275,17 @@ def assignment_min_cost(
     owner = [-1] * right_count
     held: dict[int, dict[int, None]] = {j: {} for j, c in enumerate(room) if c != 1}
     mate = [-1] * len(adjacency)
+    tight = [
+        [j for j, c in zip(row, cost) if c == ui and room[j] == 1]
+        for row, cost, ui in zip(adjacency, costs, u)
+    ]
+    for i, j in max_matching(tight, right_count).pairs:
+        mate[i] = j
+        owner[j] = i
+        room[j] = 0
     for s in range(len(adjacency)):
+        if mate[s] >= 0:
+            continue
         dist: list[int | None] = [None] * right_count
         via = [-1] * right_count
         heap = []
@@ -263,13 +294,14 @@ def assignment_min_cost(
             d = c - us - v[j]
             dist[j] = d
             via[j] = s
-            heap.append((d, j))
+            heap.append((d << 1 | (room[j] == 0)) * right_count + j)
         heapq.heapify(heap)
         settled: list[int] = []
         while True:
             if not heap:
                 raise NoPerfectMatching("graph admits no perfect matching")
-            d, j = heapq.heappop(heap)
+            d, j = divmod(heapq.heappop(heap), right_count)
+            d >>= 1
             if d != dist[j]:
                 continue  # superseded by a shorter path
             settled.append(j)
@@ -286,7 +318,7 @@ def assignment_min_cost(
                     if old is None or nd < old:
                         dist[k] = nd
                         via[k] = i
-                        heapq.heappush(heap, (nd, k))
+                        heapq.heappush(heap, (nd << 1 | (room[k] == 0)) * right_count + k)
         # shift the potentials so the reduced costs stay nonnegative and
         # every edge of the path just found becomes tight
         for k in settled:

@@ -603,6 +603,89 @@ def test_capacitated_assignment_without_room_raises():
         scaled_assignment(graph, lambda i, j: 0, capacity=[2, 1])
 
 
+def test_tie_heavy_assignment_agrees_with_networkx_on_copied_columns(monkeypatch):
+    # costs in {0, 1, 2} tie often, so the tight edges left by row
+    # reduction already match most rows and few searches run
+    from fairmatch import matching
+
+    covered = []
+
+    def recording(adjacency, right_count, start=None):
+        found = max_matching(adjacency, right_count, start)
+        covered.append(len(found) / len(adjacency))
+        return found
+
+    monkeypatch.setattr(matching, "max_matching", recording)
+    rng = random.Random(59)
+    solved = 0
+    for trial in range(48):
+        left = rng.randint(10, 40)
+        if trial % 2:
+            # mostly unit columns, which the tight start may fill
+            right = rng.randint(left // 2, left)
+            capacity = [rng.choice((0, 1, 1, 1, 2, 3)) for _ in range(right)]
+        else:
+            right = left + rng.randint(0, 5)
+            capacity = None
+        graph, costs = random_cost_graph(rng, left, right, rng.uniform(0.1, 0.5))
+        costs = {edge: rng.randint(0, 2) for edge in costs}
+        limit = capacity or [1] * right
+        copies = [j for j in range(right) for _ in range(limit[j])]
+        copied = ranked_graph(
+            [f"l{i}" for i in range(left)],
+            [f"r{k}" for k in range(len(copies))],
+            {(i, k): 1 for i in range(left) for k, j in enumerate(copies) if graph.has_edge(i, j)},
+        )
+        size, total = networkx_best(copied, lambda i, k: 10**4 - costs[(i, copies[k])])
+        if size < left:
+            with pytest.raises(NoPerfectMatching):
+                scaled_assignment(graph, lambda i, j: costs[(i, j)], capacity=capacity)
+            continue
+        solved += 1
+        match = scaled_assignment(graph, lambda i, j: costs[(i, j)], capacity=capacity)
+        assert sorted(i for i, _ in match.pairs) == list(range(left)), trial
+        load = [0] * right
+        for i, j in match.pairs:
+            assert graph.has_edge(i, j), trial
+            load[j] += 1
+        assert all(x <= c for x, c in zip(load, limit)), trial
+        assert sum(costs[pair] for pair in match.pairs) == left * 10**4 - total, trial
+        high = scaled_assignment(
+            graph, lambda i, j: costs[(i, j)], maximize=True, capacity=capacity
+        )
+        _, top = networkx_best(copied, lambda i, k: 10**4 + costs[(i, copies[k])])
+        assert sum(costs[pair] for pair in high.pairs) == top - left * 10**4, trial
+    assert solved >= 16
+    assert sum(covered) / len(covered) > 0.5
+
+
+def test_tight_start_leaves_a_row_that_reaches_only_full_columns():
+    # rows 0 and 1 take columns 0 and 1 on their only, tight edges; row 2
+    # reaches only those two, so no search can find room for it, though
+    # column 2 (and, capacitated, a column with room) lies unreached
+    edges = {(0, 0): 1, (1, 1): 1, (2, 0): 1, (2, 1): 1}
+    graph = ranked_graph(["l0", "l1", "l2"], ["r0", "r1", "r2"], edges)
+    for capacity in (None, [1, 1, 3]):
+        with pytest.raises(NoPerfectMatching):
+            scaled_assignment(graph, lambda i, j: 0, capacity=capacity)
+        with pytest.raises(NoPerfectMatching):
+            scaled_assignment(graph, lambda i, j: j, capacity=capacity)
+
+
+def test_zero_diagonal_is_matched_by_the_tight_start_alone(monkeypatch):
+    from fairmatch import matching
+
+    def no_search(heap):
+        raise AssertionError("a shortest-path search ran")
+
+    monkeypatch.setattr(matching.heapq, "heapify", no_search)
+    p = 12
+    edges = {(i, j): 1 for i in range(p) for j in range(p + 3)}
+    graph = ranked_graph([f"l{i}" for i in range(p)], [f"r{j}" for j in range(p + 3)], edges)
+    match = scaled_assignment(graph, lambda i, j: 0 if i == j else 1 + (i * j) % 5)
+    assert match.pairs == tuple((i, i) for i in range(p))
+
+
 def test_rank_maximal_agrees_with_networkx_beyond_brute_force():
     # networkx maximizes the rank counts read as base-(left + 1) digits
     rng = random.Random(23)

@@ -116,6 +116,33 @@ def test_optimum_matches_brute_force_random():
             assert check_allocation(inst, allocation).passes
 
 
+def test_optimum_matches_brute_force_on_tie_heavy_costs():
+    # costs in {0, 1, 2} tie at most edges, where the kernel's tight start
+    # matches most items before any search runs
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    @hypothesis.settings(max_examples=80, deadline=None, database=None)
+    @hypothesis.given(
+        n=st.integers(1, 3),
+        m=st.integers(0, 6),
+        kind=st.sampled_from(["goods", "chores"]),
+        seed=st.integers(0, 2**16),
+        data=st.data(),
+    )
+    def check(n, m, kind, seed, data):
+        inst = generate_instance(n, m, kind, seed)
+        row = st.lists(st.integers(0, 2), min_size=m, max_size=m)
+        rows = data.draw(st.lists(row, min_size=n, max_size=n))
+        for direction in (MINIMIZE, MAXIMIZE):
+            spec = spec_from_rows(inst, rows, direction)
+            allocation, objective = optimize_allocation(inst, spec)
+            assert objective == brute_force_best(inst, spec)
+            assert check_allocation(inst, allocation).passes
+
+    check()
+
+
 def test_scaling_leaves_the_optimal_set_unchanged():
     rng = random.Random(37)
     for seed in range(10):
