@@ -27,11 +27,15 @@ instance = validate_instance(
     [("ada", Fraction(1, 2), items), ("ben", Fraction(1, 2), items)],
 )
 
-competence = {
-    (0, "cook"): Fraction(9, 10), (0, "drive"): Fraction(1, 10), (0, "mow"): Fraction(1, 2),
-    (1, "cook"): Fraction(2, 10), (1, "drive"): Fraction(1), (1, "mow"): Fraction(3, 5),
-}
-spec = CostSpec(values=competence, direction="maximize")
+# one row per agent, one column per item, in instance order: the layout
+# of a cost file
+rows = [
+    [Fraction(9, 10), Fraction(1, 10), Fraction(1, 2)],
+    [Fraction(2, 10), Fraction(1), Fraction(3, 5)],
+]
+competence = {(i, item): row[j] for i, row in enumerate(rows) for j, item in enumerate(items)}
+# the rows become integers over one common denominator, here 10
+spec = CostSpec.scaled(rows, direction="maximize")
 allocation, objective = optimize_allocation(instance, spec)
 print("most competent fair split:", {
     a.name: sorted(b) for a, b in zip(instance.agents, allocation.bundles)

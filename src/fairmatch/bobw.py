@@ -50,13 +50,6 @@ class FractionalMatching:
 
     weights: dict[tuple[int, int], Fraction]
 
-    def rows(self, count: int) -> list[dict[int, Fraction]]:
-        """The weights as one ``{item: weight}`` map per slot, items ascending."""
-        rows: list[dict[int, Fraction]] = [{} for _ in range(count)]
-        for (slot, j), w in sorted(self.weights.items()):
-            rows[slot][j] = w
-        return rows
-
 
 @dataclass(frozen=True)
 class Lottery:

@@ -9,10 +9,12 @@ kind:
 * chores: position 1 is the agent's least favorite chore (positions grow
   toward the chores the agent minds least).
 
-All arithmetic on entitlements, thresholds and shares is exact rational
-(``fractions.Fraction``); floating point is deliberately absent from this
-package's numerics, since the matching thresholds and the lottery
-decomposition both break under one-ulp errors.
+All arithmetic is exact: rationals (``fractions.Fraction``) become
+integers over one common denominator once, where they enter (entitlements
+in ``bobw``, costs in ``optimize.CostSpec.scaled``), and the matching
+kernels take integers only.  Floating point is deliberately absent, since
+the matching thresholds and the lottery decomposition both break under
+one-ulp errors.
 """
 
 from __future__ import annotations

@@ -20,24 +20,22 @@ This module bundles every matching primitive the library needs:
   dictatorship over the best-first slot prefixes, narrowest first, with
   no graph built;
 * Birkhoff-von Neumann decomposition of exact doubly stochastic matrices,
-  given as sparse ``{column: entry}`` rows, each round's matching grown
-  from the last round's permutation;
+  given as sparse ``{column: int}`` rows over one denominator, each
+  round's matching grown from the last round's permutation;
 * the oracle's cross-check of the side-perfect matchings, enumerated
   one at a time, against the enumerated fair allocations.
 
-No floating point anywhere: matching costs are integers after clearing
-denominators, and the decomposition takes its rows as integers over a
-given denominator, or scales rational rows once by the least common
-multiple of theirs, and subtracts integers, not rationals, until every
-row is empty.
+No floating point and no rationals anywhere: both kernels take
+integers only.  The callers clear the denominators once, where the
+rationals enter (the costs in ``optimize.CostSpec.scaled``, the
+entitlements in ``bobw``), and the decomposition subtracts integers over
+one given denominator until every row is empty.
 """
 
 from __future__ import annotations
 
 import heapq
-import math
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import chain
 from typing import Iterable, Iterator, Mapping, Sequence
 
@@ -489,17 +487,16 @@ def extract_picking_sequence(matching: Matching, graph: BipartiteGraph) -> Picki
 # ---------------------------------------------------------------------------
 
 def bvn_decompose(
-    rows: Sequence[Mapping[int, Fraction | int]],
-    denominator: int | None = None,
-) -> list[tuple[Fraction | int, tuple[int, ...]]]:
+    rows: Sequence[Mapping[int, int]], denominator: int
+) -> list[tuple[int, tuple[int, ...]]]:
     """Decompose an exact doubly stochastic matrix into permutation matrices.
 
-    The matrix comes as sparse rows: ``rows[i]`` maps a column to its
-    entry, and absent columns are zero.  Returns ``[(weight, perm), ...]``
-    with ``perm[row] = column``, weights summing to exactly 1 and
-    ``sum(weight * permutation) == matrix``.  Given ``denominator``, the
-    entries are integers over it, and so are the returned weights;
-    otherwise the entries are rationals, and the weights are fractions.
+    The matrix comes as sparse rows of integers over ``denominator``:
+    ``rows[i]`` maps a column to its entry, and absent columns are zero.
+    Returns ``[(weight, perm), ...]`` with ``perm[row] = column`` and each
+    weight an integer over ``denominator``; the weights sum to exactly
+    ``denominator`` and ``sum(weight * permutation) == matrix``.  A
+    denominator below 1 raises ``ValueError``.
 
     Each round finds a perfect matching on the support (one exists by
     Hall's condition while the matrix stays doubly stochastic), peels off
@@ -508,12 +505,12 @@ def bvn_decompose(
     starts :func:`max_matching` from the last round's permutation minus
     the entries it zeroed, so only the freed rows are re-augmented.
 
-    The columns are ordered and validated once.  Rational rows are scaled
-    by the least common multiple of their denominators, and each row is
-    kept as a ``{column: int}`` map of its positive entries, so a round
-    costs time in the size of the support and subtracts integers, not
-    rationals.
+    The columns are ordered and validated once, and each row is kept as a
+    ``{column: int}`` map of its positive entries, so a round costs time
+    in the size of the support.
     """
+    if denominator < 1:
+        raise ValueError(f"denominator must be at least 1, got {denominator}")
     p = len(rows)
     # built in ascending column order and only ever shrunk, so the keys of
     # every row stay sorted and each round hands the rows to
@@ -530,25 +527,18 @@ def bvn_decompose(
                     raise NotDoublyStochastic("matrix has a negative entry")
                 entries[j] = x
         work.append(entries)
-    denom = denominator
-    if denom is None:
-        denom = math.lcm(*(Fraction(x).denominator for row in work for x in row.values()))
-        for row in work:
-            for j, x in row.items():
-                x = Fraction(x)
-                row[j] = x.numerator * (denom // x.denominator)
     column_sums = [0] * p
     for row in work:
-        if sum(row.values()) != denom:
+        if sum(row.values()) != denominator:
             raise NotDoublyStochastic("a row does not sum to 1")
         for j, x in row.items():
             column_sums[j] += x
-    if any(total != denom for total in column_sums):
+    if any(total != denominator for total in column_sums):
         raise NotDoublyStochastic("a column does not sum to 1")
 
     bound = p * p - p + 2
     parts: list[tuple[int, tuple[int, ...]]] = []
-    remaining = denom
+    remaining = denominator
     start = None
     while remaining > 0:
         match = max_matching(work, p, start)
@@ -574,9 +564,7 @@ def bvn_decompose(
         remaining -= weight
     if any(work):
         raise MatchingInternalError("decomposition left a nonzero residual")
-    if denominator is not None:
-        return parts
-    return [(Fraction(weight, denom), perm) for weight, perm in parts]
+    return parts
 
 
 # ---------------------------------------------------------------------------

@@ -19,7 +19,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping
+from typing import Sequence
 
 from .allocgraph import slot_reaches, spare_slot_count
 from .core import GOODS, FormatError, Instance, IntegralAllocation, parse_rational
@@ -30,18 +30,31 @@ MAXIMIZE = "maximize"
 
 
 class IncompleteCostSpec(ValueError):
-    """A cost value is missing for some (agent, item) pair."""
+    """The cost rows do not have one entry per (agent, item) pair."""
 
 
 @dataclass(frozen=True)
 class CostSpec:
-    """Per (agent index, item) rational costs plus an optimization direction."""
+    """Integer costs over one common denominator, plus a direction.
 
-    values: Mapping[tuple[int, str], Fraction]
+    ``rows[i][j] / denominator`` is agent ``i``'s cost for item ``j``,
+    agents and items in instance order: the layout of the cost file.
+    Build it with :meth:`scaled`.
+    """
+
+    rows: tuple[tuple[int, ...], ...]
+    denominator: int
     direction: str = MINIMIZE
 
-    def value(self, agent: int, item: str) -> Fraction:
-        return self.values[(agent, item)]
+    @classmethod
+    def scaled(
+        cls, rows: Sequence[Sequence[Fraction | int]], direction: str = MINIMIZE
+    ) -> CostSpec:
+        """Scale rational rows once by the least common multiple of their
+        denominators, so every entry becomes an integer over it."""
+        denominator = math.lcm(*(x.denominator for row in rows for x in row))
+        scaled = (tuple(x.numerator * (denominator // x.denominator) for x in row) for row in rows)
+        return cls(tuple(scaled), denominator, direction)
 
 
 def optimize_allocation(
@@ -51,24 +64,18 @@ def optimize_allocation(
 
     The objective of an allocation is the sum over real items of the
     owning agent's cost for that item; the optimum is taken over all fair
-    allocations and the returned one always verifies.
+    allocations and the returned one always verifies.  The kernel takes
+    the spec's integer rows as they are, negated to maximize, and the
+    objective becomes a fraction once, at the end.
     """
     if spec.direction not in (MINIMIZE, MAXIMIZE):
         raise ValueError(f"direction must be {MINIMIZE} or {MAXIMIZE}")
-    missing = [
-        (agent.name, item)
-        for i, agent in enumerate(instance.agents)
-        for item in instance.items
-        if (i, item) not in spec.values
-    ]
-    if missing:
-        raise IncompleteCostSpec(f"missing cost entries: {missing[:5]}")
-
-    # one common denominator for the whole table, so the kernel sees ints
-    exact = [[spec.values[(i, item)] for item in instance.items] for i in range(instance.n)]
-    denom = math.lcm(*(x.denominator for row in exact for x in row))
-    sign = -1 if spec.direction == MAXIMIZE else 1
-    table = [[sign * x.numerator * (denom // x.denominator) for x in row] for row in exact]
+    if spec.denominator < 1:
+        raise ValueError("the cost denominator must be positive")
+    rows = spec.rows
+    if len(rows) != instance.n or any(len(row) != instance.m for row in rows):
+        raise IncompleteCostSpec(f"expected {instance.n} cost rows of {instance.m} entries")
+    table = [[-c for c in row] for row in rows] if spec.direction == MAXIMIZE else rows
 
     # goods must fill every real slot: the offset exceeds the gap between
     # the raw costs of any two item-covering assignments, so taking it off
@@ -114,12 +121,8 @@ def optimize_allocation(
     for item_idx, column in match.pairs:
         bundles[agent_of[column]].add(instance.items[item_idx])
     allocation = IntegralAllocation(bundles=tuple(frozenset(b) for b in bundles))
-    owners = allocation.owner_map()
-    objective = sum(
-        (Fraction(spec.values[(owners[item], item)]) for item in instance.items),
-        Fraction(0),
-    )
-    return allocation, objective
+    total = sum(rows[agent_of[column]][j] for j, column in match.pairs)
+    return allocation, Fraction(total, spec.denominator)
 
 
 def parse_costs(text: str, instance: Instance, direction: str) -> CostSpec:
@@ -141,12 +144,11 @@ def parse_costs(text: str, instance: Instance, direction: str) -> CostSpec:
         rows = [[] for _ in range(instance.n)]
     if len(rows) != instance.n:
         raise FormatError(f"expected {instance.n} cost rows, got {len(rows)}")
-    values: dict[tuple[int, str], Fraction] = {}
     for i, tokens in enumerate(rows):
         if len(tokens) != instance.m:
             raise FormatError(
                 f"cost row {i + 1} has {len(tokens)} entries, expected {instance.m}"
             )
-        for item, token in zip(instance.items, tokens):
-            values[(i, item)] = parse_rational(token)
-    return CostSpec(values=values, direction=direction)
+    return CostSpec.scaled(
+        [[parse_rational(token) for token in tokens] for tokens in rows], direction
+    )

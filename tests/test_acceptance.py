@@ -347,13 +347,15 @@ def test_criterion_08_optimization_matches_brute_force():
         n = rng.randint(1, 3)
         m = rng.randint(1, 6)
         inst = generate_instance(n, m, kind, seed=trial + 99)
+        rows = [
+            [Fraction(rng.randint(-10, 10), rng.randint(1, 6)) for _ in inst.items]
+            for _ in range(inst.n)
+        ]
         values = {
-            (i, item): Fraction(rng.randint(-10, 10), rng.randint(1, 6))
-            for i in range(inst.n)
-            for item in inst.items
+            (i, item): rows[i][j] for i in range(inst.n) for j, item in enumerate(inst.items)
         }
         direction = MAXIMIZE if trial % 3 else MINIMIZE
-        spec = CostSpec(values=values, direction=direction)
+        spec = CostSpec.scaled(rows, direction)
         allocation, objective = optimize_allocation(inst, spec)
         assert check_allocation(inst, allocation).passes
 
@@ -377,12 +379,12 @@ def test_criterion_08b_optimization_at_scale():
     # capacitated solve on the plain graph must stay well under 10 s
     inst = generate_instance(80, 400, "goods", 43)
     rng = random.Random(43)
-    values = {
-        (i, item): Fraction(rng.randint(0, 20), rng.randint(1, 6))
-        for i in range(inst.n)
-        for item in inst.items
-    }
-    spec = CostSpec(values=values, direction=MINIMIZE)
+    rows = [
+        [Fraction(rng.randint(0, 20), rng.randint(1, 6)) for _ in inst.items]
+        for _ in range(inst.n)
+    ]
+    values = {(i, item): rows[i][j] for i in range(inst.n) for j, item in enumerate(inst.items)}
+    spec = CostSpec.scaled(rows, MINIMIZE)
     start = time.monotonic()
     allocation, objective = optimize_allocation(inst, spec)
     elapsed = time.monotonic() - start

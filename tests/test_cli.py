@@ -2,6 +2,7 @@
 
 import json
 import os
+import random
 import subprocess
 import sys
 from fractions import Fraction
@@ -216,6 +217,38 @@ def test_optimize_accepts_no_items_with_empty_costs(tmp_path, capsys):
     _, inst_path = write_identical_chores(tmp_path)
     code, _, err = run(capsys, "optimize", str(inst_path), "--costs", str(costs), "--minimize")
     assert code == 2 and "cost rows" in err
+
+
+@pytest.mark.parametrize("kind", ["goods", "chores"])
+def test_optimize_objective_is_the_cost_file_sum_over_the_allocation(kind, tmp_path, capsys):
+    # the objective is recomputed from the cost text itself, with no
+    # fairmatch parsing in between
+    path, costs = tmp_path / "inst.json", tmp_path / "costs.txt"
+    for n, m, seed in SWEEP:
+        inst = generate_instance(n, m, kind, seed)
+        path.write_text(dump_instance(inst))
+        rng = random.Random(seed)
+        costs.write_text("".join(
+            " ".join(f"{rng.randint(0, 20)}/{rng.randint(1, 6)}" for _ in range(m)) + "\n"
+            for _ in range(n)
+        ))
+        table = [dict(zip(inst.items, map(Fraction, line.split())))
+                 for line in costs.read_text().splitlines()]
+        for direction in ("--minimize", "--maximize"):
+            out_path = tmp_path / "opt.json"
+            code, _, err = run(capsys, "optimize", str(path), "--costs", str(costs),
+                               direction, "-o", str(out_path))
+            case = (n, m, seed, direction)
+            assert code == 0 and err == "", case
+            payload = json.loads(out_path.read_text())
+            code, out, _ = run(capsys, "verify", str(path), str(out_path))
+            assert code == 0 and "overall: PASS" in out, case
+            total = sum(
+                (table[inst.agent_index(name)][item]
+                 for name, bundle in payload["allocation"].items() for item in bundle),
+                Fraction(0),
+            )
+            assert Fraction(payload["objective"]) == total, case
 
 
 def test_lottery_command_mixture_recomputable(tmp_path, capsys):

@@ -2,6 +2,7 @@
 
 import itertools
 import json
+import math
 import random
 from fractions import Fraction
 
@@ -1031,28 +1032,32 @@ def test_sequence_round_trip_when_the_lowest_rank_group_is_stuck(kind):
 # Birkhoff-von Neumann decomposition
 # ---------------------------------------------------------------------------
 
-def sparse_rows(matrix):
-    """A dense matrix as the ``{column: entry}`` rows bvn_decompose takes."""
-    return [dict(enumerate(row)) for row in matrix]
+def rational_bvn(matrix):
+    """``bvn_decompose`` on a dense matrix of rationals: the entries scaled
+    once to ``{column: int}`` rows over the least common multiple of their
+    denominators, the weights returned as fractions."""
+    denom = math.lcm(*(Fraction(x).denominator for row in matrix for x in row))
+    rows = [{j: int(x * denom) for j, x in enumerate(row)} for row in matrix]
+    return [(Fraction(w, denom), perm) for w, perm in bvn_decompose(rows, denom)]
 
 
 def test_bvn_half_matrix():
     half = Fraction(1, 2)
-    parts = bvn_decompose(sparse_rows([[half, half], [half, half]]))
+    parts = rational_bvn([[half, half], [half, half]])
     assert sorted(w for w, _ in parts) == [half, half]
     assert {perm for _, perm in parts} == {(0, 1), (1, 0)}
 
 
 def test_bvn_permutation_input():
     one, zero = Fraction(1), Fraction(0)
-    parts = bvn_decompose(sparse_rows([[zero, one], [one, zero]]))
+    parts = rational_bvn([[zero, one], [one, zero]])
     assert parts == [(one, (1, 0))]
 
 
 def test_bvn_cyclic_three_by_three():
     a, b = Fraction(1, 2), Fraction(1, 4)
     matrix = [[a, b, b], [b, a, b], [b, b, a]]
-    parts = bvn_decompose(sparse_rows(matrix))
+    parts = rational_bvn(matrix)
     assert sum(w for w, _ in parts) == 1
     assert len(parts) <= 3 * 3 - 3 + 2
     rebuilt = [[Fraction(0)] * 3 for _ in range(3)]
@@ -1082,7 +1087,7 @@ def test_bvn_random_exact_reconstruction():
             for i, j in enumerate(perm):
                 matrix[i][j] += 1 - total
         support = {(i, j) for i in range(p) for j in range(p) if matrix[i][j] > 0}
-        parts = bvn_decompose(sparse_rows(matrix))
+        parts = rational_bvn(matrix)
         assert sum(w for w, _ in parts) == 1
         assert len(parts) <= p * p - p + 2
         rebuilt = [[Fraction(0)] * p for _ in range(p)]
@@ -1127,22 +1132,33 @@ def test_bvn_matches_dense_rational_reference():
             matrix = [[Fraction(0)] * p for _ in range(p)]
             for (slot, j), w in fractional.weights.items():
                 matrix[slot][j] = w
-            assert bvn_decompose(fractional.rows(p)) == dense_rational_bvn(matrix)
+            assert rational_bvn(matrix) == dense_rational_bvn(matrix)
 
 
 def test_bvn_rejects_bad_input():
     one, zero = Fraction(1), Fraction(0)
     with pytest.raises(NotDoublyStochastic):
-        bvn_decompose(sparse_rows([[one, zero]]))
+        rational_bvn([[one, zero]])
     with pytest.raises(NotDoublyStochastic):
-        bvn_decompose(sparse_rows([[Fraction(1, 2), Fraction(1, 2)], [one, zero]]))
+        rational_bvn([[Fraction(1, 2), Fraction(1, 2)], [one, zero]])
     with pytest.raises(NotDoublyStochastic):
-        bvn_decompose(sparse_rows([[Fraction(3, 2), Fraction(-1, 2)], [Fraction(-1, 2), Fraction(3, 2)]]))
+        rational_bvn([[Fraction(3, 2), Fraction(-1, 2)], [Fraction(-1, 2), Fraction(3, 2)]])
     # columns outside the matrix
     with pytest.raises(NotDoublyStochastic):
-        bvn_decompose([{0: one}, {2: one}])
+        bvn_decompose([{0: 1}, {2: 1}], 1)
     with pytest.raises(NotDoublyStochastic):
-        bvn_decompose([{-1: one}, {1: one}])
+        bvn_decompose([{-1: 1}, {1: 1}], 1)
+
+
+def test_bvn_rejects_a_denominator_below_one():
+    # the weights sum to the denominator, so below 1 they could not sum to 1
+    for denominator in (0, -3):
+        with pytest.raises(ValueError, match="denominator"):
+            bvn_decompose([], denominator)
+        with pytest.raises(ValueError, match="denominator"):
+            bvn_decompose([{0: denominator}], denominator)
+    assert bvn_decompose([], 1) == [(1, ())]
+    assert bvn_decompose([{0: 2}], 2) == [(2, (0,))]
 
 
 # ---------------------------------------------------------------------------
