@@ -26,13 +26,19 @@ builder, behind ``graph`` and ``oracle``, grows one sorted row per agent
 through them and copies it once per slot.  A rank depends only on the
 agent and the item, so each row's ranks come from one rank-of-item table
 per agent.
+
+The whole slot plan is integer arithmetic on each entitlement's numerator
+``a`` and denominator ``b`` (``alpha = a/b``): floors are ``//`` and a
+ceiling is ``-(-x // y)``, so no ``Fraction`` product is formed.  The
+closed forms of the counts and reaches are in :func:`slot_count` and
+:func:`slot_reaches`.
 """
 
 from __future__ import annotations
 
-import math
 from bisect import bisect_left
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Iterator
 
 from .core import CHORES, Instance
@@ -130,18 +136,31 @@ class AllocationGraph(BipartiteGraph):
 
 
 def slot_count(instance: Instance, agent: int) -> int:
-    """Number of slots of an agent (kind-dependent bound; never negative)."""
+    """Number of slots of an agent (kind-dependent bound; never negative).
+
+    With ``alpha = a/b`` in lowest terms, chores have ``m*a // b + 1``
+    slots and goods ``-(-m*a // b) - 1``, floor and ceiling of ``m*alpha``
+    in integers.  Only goods with ``m = 0`` would count ``-1``.
+    """
     alpha = instance.entitlement(agent)
-    if instance.kind == CHORES:
-        return math.floor(instance.m * alpha) + 1
-    return max(0, math.ceil(instance.m * alpha) - 1)
+    chores = instance.kind == CHORES
+    return max(0, _slot_count(chores, instance.m, alpha.numerator, alpha.denominator))
+
+
+def _slot_count(chores: bool, m: int, a: int, b: int) -> int:
+    # floor(m*a/b) + 1 chores slots, ceil(m*a/b) - 1 goods slots
+    return m * a // b + 1 if chores else -(-m * a // b) - 1
 
 
 def spare_slot_count(instance: Instance) -> int:
-    """Spare slots per agent in the extended goods graph: ``m + n - sum(ceil(m*alpha_i))``."""
+    """Spare slots per agent in the extended goods graph: ``m + n - sum(ceil(m*alpha_i))``.
+
+    Each ceiling is taken in integers, as ``-(-m*a // b)`` for ``alpha_i = a/b``.
+    """
     m = instance.m
     return m + instance.n - sum(
-        math.ceil(m * instance.entitlement(i)) for i in range(instance.n)
+        -(-m * agent.entitlement.numerator // agent.entitlement.denominator)
+        for agent in instance.agents
     )
 
 
@@ -154,13 +173,9 @@ def slot_threshold(instance: Instance, agent: int, position: int) -> int:
     if not 1 <= position <= slot_count(instance, agent):
         raise IndexError(f"slot position {position} out of range for agent {agent}")
     alpha = instance.entitlement(agent)
-    return _threshold(instance.kind, alpha.numerator, alpha.denominator, position)
-
-
-def _threshold(kind: str, a: int, b: int, position: int) -> int:
-    # the slot thresholds in integers, for alpha = a/b
-    if kind == CHORES:
-        return -(-(position - 1) * b // a)
+    a, b = alpha.numerator, alpha.denominator
+    if instance.kind == CHORES:
+        return -((1 - position) * b // a)
     return position * b // a + 1
 
 
@@ -176,19 +191,34 @@ def slot_reaches(
     threshold, goods edges to positions <= it, so either way slot ``l``
     reaches the prefix ``best_first[:reaches[l - 1]]``.  Reaches grow
     with the slot position for goods and shrink with it for chores.
+
+    With ``alpha = a/b`` the reaches are integers in closed form.  Chores
+    slot 1 reaches all ``m`` chores (its threshold is 0), and slot
+    ``l >= 2`` reaches ``m + 1 + (1 - l)*b // a``: its threshold
+    ``ceil((l-1)/alpha)`` is at least 1 because ``alpha <= 1``, and at
+    most ``m`` because ``l - 1 <= m*alpha``.  Goods slot ``l`` reaches
+    ``l*b // a + 1``, at most ``m`` because ``l < m*alpha``.  So no reach
+    needs clamping to ``[1, m]``.
     """
     m = instance.m
     chores = instance.kind == CHORES
     item_index = {item: j for j, item in enumerate(instance.items)}
-    for i, agent in enumerate(instance.agents):
-        ranking = reversed(agent.ranking) if chores else agent.ranking
-        best_first = tuple(map(item_index.__getitem__, ranking))
+    for agent in instance.agents:
+        # one itemgetter call maps the whole ranking; given a single key it
+        # would return a bare index, so m <= 1 maps item by item
+        if m > 1:
+            indices = itemgetter(*agent.ranking)(item_index)
+        else:
+            indices = tuple(map(item_index.__getitem__, agent.ranking))
         a, b = agent.entitlement.numerator, agent.entitlement.denominator
-        reaches = []
-        for ell in range(1, slot_count(instance, i) + 1):
-            bound = _threshold(instance.kind, a, b, ell)
-            reaches.append(m + 1 - max(1, bound) if chores else min(m, bound))
-        yield best_first, tuple(reaches)
+        count = _slot_count(chores, m, a, b)
+        if chores:
+            best_first = indices[::-1]
+            reaches = (m, *[m + 1 + (1 - ell) * b // a for ell in range(2, count + 1)])
+        else:
+            best_first = indices
+            reaches = tuple([ell * b // a + 1 for ell in range(1, count + 1)])
+        yield best_first, reaches
 
 
 def _rank_table(best_first: tuple[int, ...]) -> tuple[int, ...]:

@@ -27,6 +27,7 @@ from .core import (
     format_rational,
     generate_instance,
     load_instance,
+    parse_json,
 )
 
 
@@ -113,10 +114,7 @@ def cmd_lottery(args: argparse.Namespace) -> int:
 
 def cmd_verify(args: argparse.Namespace) -> int:
     instance = _load_instance_file(args.instance)
-    try:
-        data = json.loads(_read(args.allocation))
-    except (json.JSONDecodeError, RecursionError) as exc:
-        raise FormatError(f"invalid JSON in allocation file: {exc}") from exc
+    data = parse_json(_read(args.allocation), " in allocation file")
     allocation = allocation_from_json(instance, data)
     try:
         report = fairness.check_allocation(instance, allocation)

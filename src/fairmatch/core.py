@@ -346,12 +346,33 @@ def dump_instance(instance: Instance) -> str:
     return json.dumps(instance_to_json(instance), indent=2) + "\n"
 
 
-def load_instance(text: str) -> Instance:
+def parse_json(text: str, where: str = "") -> object:
+    """Decode a JSON document whose objects repeat no key.
+
+    ``json.loads`` alone keeps the last value of a repeated key, so a file
+    naming ``"kind"`` or an agent twice would be read as its last value.
+    Bad JSON and a repeated key raise :class:`FormatError`; ``where``, such
+    as ``" in allocation file"``, goes into its message.
+    """
     try:
-        data = json.loads(text)
-    except (json.JSONDecodeError, RecursionError) as exc:
-        raise FormatError(f"invalid JSON: {exc}") from exc
-    return instance_from_json(data)
+        return json.loads(text, object_pairs_hook=_unique_keys)
+    except (json.JSONDecodeError, RecursionError, FormatError) as exc:
+        raise FormatError(f"invalid JSON{where}: {exc}") from exc
+
+
+def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
+    data = dict(pairs)
+    if len(data) < len(pairs):
+        seen = set()
+        for key, _ in pairs:
+            if key in seen:
+                raise FormatError(f"an object repeats the key {key!r}")
+            seen.add(key)
+    return data
+
+
+def load_instance(text: str) -> Instance:
+    return instance_from_json(parse_json(text))
 
 
 # ---------------------------------------------------------------------------

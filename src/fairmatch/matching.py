@@ -605,18 +605,21 @@ def _serial_dictatorship(
     """
     m = instance.m
     best_first: list[tuple[int, ...]] = []
-    slots: list[tuple[int, int]] = []  # (reach, agent)
+    reach: list[int] = []  # of each plain slot
+    agent: list[int] = []
     for i, (row, reaches) in enumerate(slot_reaches(instance)):
         best_first.append(row)
-        slots += ((r, i) for r in reaches)
-    order = sorted(range(len(slots)), key=lambda s: slots[s][0])
+        reach += reaches
+        agent += [i] * len(reaches)
+    order = sorted(range(len(reach)), key=reach.__getitem__)
     goods = instance.kind == GOODS
     spare = spare_slot_count(instance) if goods else 0
     spares = ((-1, m, i) for i in range(instance.n) for _ in range(spare))
+    plain = zip(order, map(reach.__getitem__, order), map(agent.__getitem__, order))
     taken = [False] * m
     point = [0] * instance.n
     picks: list[tuple[int, int, int]] = []
-    for s, r, i in chain(((s, *slots[s]) for s in order), spares):
+    for s, r, i in chain(plain, spares):
         if len(picks) == m:
             break
         row, k = best_first[i], point[i]

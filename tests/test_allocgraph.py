@@ -79,6 +79,56 @@ def test_goods_slot_counts_unequal_entitlements():
     assert slot_count(inst, 1) == 0
 
 
+def test_slot_arithmetic_equals_the_rational_definitions():
+    # entitlements w_i / sum(w) with weights up to 10**6, and m often a
+    # multiple of their common denominator, where floor and ceiling meet
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    def with_m(weights):
+        den = math.lcm(*(Fraction(w, sum(weights)).denominator for w in weights))
+        multiples = st.integers(0, 60 // den).map(den.__mul__)
+        return st.tuples(st.just(weights), st.integers(0, 60) | multiples)
+
+    weights = st.lists(st.integers(1, 4) | st.integers(1, 10**6), min_size=1, max_size=8)
+
+    @hypothesis.settings(max_examples=300, deadline=None, database=None)
+    @hypothesis.given(case=weights.flatmap(with_m), kind=st.sampled_from(["goods", "chores"]))
+    @hypothesis.example(case=([1], 0), kind="goods")
+    @hypothesis.example(case=([1], 0), kind="chores")
+    @hypothesis.example(case=([7], 60), kind="goods")
+    @hypothesis.example(case=([7], 60), kind="chores")
+    @hypothesis.example(case=([1, 2, 5], 48), kind="goods")
+    @hypothesis.example(case=([1, 2, 5], 48), kind="chores")
+    def check(case, kind):
+        weights, m = case
+        alphas = [Fraction(w, sum(weights)) for w in weights]
+        items = [f"b{j + 1}" for j in range(m)]
+        inst = make(kind, items, [(f"a{i + 1}", a, items) for i, a in enumerate(alphas)])
+        positions = range(1, m + 1)
+        assert spare_slot_count(inst) == m + len(alphas) - sum(
+            math.ceil(m * alpha) for alpha in alphas
+        )
+        for i, (alpha, (_, reaches)) in enumerate(zip(alphas, slot_reaches(inst))):
+            if kind == "chores":
+                count = math.floor(m * alpha) + 1
+            else:
+                count = max(0, math.ceil(m * alpha) - 1)
+            assert slot_count(inst, i) == len(reaches) == count
+            for ell, reach in enumerate(reaches, start=1):
+                # chores slots reach positions >= threshold, goods <= it
+                if kind == "chores":
+                    threshold = math.ceil(Fraction(ell - 1) / alpha)
+                    reached = [p for p in positions if p >= threshold]
+                else:
+                    threshold = math.floor(Fraction(ell) / alpha) + 1
+                    reached = [p for p in positions if p <= threshold]
+                assert slot_threshold(inst, i, ell) == threshold
+                assert reach == len(reached), (alpha, m, ell)
+
+    check()
+
+
 # ---------------------------------------------------------------------------
 # plain graphs
 # ---------------------------------------------------------------------------

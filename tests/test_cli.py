@@ -458,6 +458,33 @@ def test_deeply_nested_allocation_exits_two(tmp_path, capsys):
     assert err.startswith("error: invalid JSON in allocation file") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("repeat", ["kind", "ranking"])
+def test_instance_with_a_repeated_key_exits_two(repeat, tmp_path, capsys):
+    # json.loads alone keeps the last value of a repeated key
+    agent = '{"name": "a1", "entitlement": "1", "ranking": ["b1", "b2"]%s}'
+    text = '{"kind": "goods",%s "items": ["b1", "b2"], "agents": [%s]}' % (
+        ' "kind": "chores",' if repeat == "kind" else "",
+        agent % (', "ranking": ["b2", "b1"]' if repeat == "ranking" else ""),
+    )
+    path = tmp_path / "inst.json"
+    path.write_text(text)
+    code, out, err = run(capsys, "solve", str(path))
+    assert code == 2 and out == ""
+    assert err.startswith("error: invalid JSON") and f"{repeat!r}" in err
+    assert err.count("\n") == 1
+
+
+def test_allocation_with_a_repeated_agent_exits_two(tmp_path, capsys):
+    inst_path = tmp_path / "inst.json"
+    inst_path.write_text(dump_instance(generate_instance(2, 4, "goods", 1)))
+    alloc_path = tmp_path / "alloc.json"
+    alloc_path.write_text('{"a1": ["b1", "b2"], "a1": ["b3"], "a2": ["b4"]}')
+    code, out, err = run(capsys, "verify", str(inst_path), str(alloc_path))
+    assert code == 2 and out == ""
+    assert err.startswith("error: invalid JSON in allocation file") and "'a1'" in err
+    assert err.count("\n") == 1
+
+
 def test_repeated_item_in_bundle_exits_two(tmp_path, capsys):
     _, inst_path = write_identical_chores(tmp_path)
     alloc_path = tmp_path / "alloc.json"

@@ -1278,6 +1278,42 @@ def test_sequence_slots_are_the_plain_slots_in_pick_order(kind):
                 assert widths == sorted(widths), (n, m, seed)
 
 
+def test_solve_with_sequence_replays_the_fair_allocation():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    @hypothesis.settings(max_examples=200, deadline=None, database=None)
+    @hypothesis.given(
+        weights=st.lists(st.integers(1, 9) | st.integers(1, 10**6), min_size=1, max_size=8),
+        m=st.integers(0, 40),
+        kind=st.sampled_from(["goods", "chores"]),
+        seed=st.integers(0, 2**32),
+    )
+    @hypothesis.example(weights=[1], m=0, kind="goods", seed=0)
+    @hypothesis.example(weights=[1], m=0, kind="chores", seed=0)
+    @hypothesis.example(weights=[3, 5], m=0, kind="goods", seed=0)
+    @hypothesis.example(weights=[3, 5], m=0, kind="chores", seed=0)
+    @hypothesis.example(weights=[4], m=9, kind="goods", seed=1)
+    @hypothesis.example(weights=[4], m=9, kind="chores", seed=1)
+    def check(weights, m, kind, seed):
+        rng = random.Random(seed)
+        items = [f"b{j + 1}" for j in range(m)]
+        agents = []
+        for i, w in enumerate(weights):
+            ranking = list(items)
+            rng.shuffle(ranking)
+            agents.append((f"a{i + 1}", Fraction(w, sum(weights)), ranking))
+        inst = make(kind, items, agents)
+        allocation, sequence = solve_with_sequence(inst)
+        assert allocation == perfect_allocation(inst)
+        assert simulate_picking_sequence(inst, sequence.sequence) == allocation
+        assert check_allocation(inst, allocation).passes
+        plain = sum(len(reaches) for _, reaches in slot_reaches(inst))
+        assert sorted(sequence.slots) == list(range(plain))
+
+    check()
+
+
 def test_enumerate_side_perfect_matchings_e1():
     graph = build_allocation_graph(e1())
     matchings = list(enumerate_side_perfect_matchings(graph, saturate="right"))
