@@ -31,7 +31,7 @@ for i, agent in enumerate(instance.agents):
 
 graph = build_allocation_graph(instance)
 print("\nplain allocation graph:")
-print(graph_to_text(graph, instance))
+print("".join(graph_to_text(graph, instance)))
 
 extended = extend_allocation_graph(graph, instance)
 assert extended.left_count == extended.right_count

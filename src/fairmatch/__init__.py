@@ -13,7 +13,6 @@ from .allocgraph import (
     Slot,
     build_allocation_graph,
     extend_allocation_graph,
-    ranked_graph,
     slot_count,
     slot_threshold,
 )
@@ -31,10 +30,8 @@ from .core import (
     Instance,
     InstanceError,
     IntegralAllocation,
-    IntervalSet,
     StepValuation,
     generate_instance,
-    interval_set,
     load_instance,
     validate_instance,
 )
@@ -43,11 +40,7 @@ from .fairness import (
     BundleReport,
     check_allocation,
     check_bundle,
-    check_wprop1_cardinal,
-    check_wsdef_fractional,
-    enumerate_wsdprop1,
     simulate_picking_sequence,
-    step_valuation_oracle,
 )
 from .matching import (
     Matching,
@@ -62,10 +55,17 @@ from .matching import (
     normalize_slot_order,
     perfect_allocation,
     rank_maximal_perfect_matching,
-    signature,
     solve_with_sequence,
 )
 from .optimize import CostSpec, IncompleteCostSpec, optimize_allocation
+from .oracle import (
+    IntervalSet,
+    check_wprop1_cardinal,
+    check_wsdef_fractional,
+    enumerate_wsdprop1,
+    interval_set,
+    step_valuation_oracle,
+)
 
 __version__ = "0.1.0"
 
@@ -112,8 +112,6 @@ __all__ = [
     "optimize_allocation",
     "perfect_allocation",
     "rank_maximal_perfect_matching",
-    "ranked_graph",
-    "signature",
     "simulate_picking_sequence",
     "slot_count",
     "slot_threshold",

@@ -88,32 +88,6 @@ class BipartiteGraph:
         lo = bisect_left(adj, right)
         return lo < len(adj) and adj[lo] == right
 
-    def max_rank(self) -> int:
-        return max((max(r) for r in self.ranks if r), default=0)
-
-
-def ranked_graph(
-    left_labels: list[str],
-    right_labels: list[str],
-    edges: dict[tuple[int, int], int],
-) -> BipartiteGraph:
-    """Build a generic ranked bipartite graph from an edge->rank map."""
-    by_left: dict[int, list[int]] = {}
-    for a, j in edges:
-        by_left.setdefault(a, []).append(j)
-    adjacency = []
-    ranks = []
-    for i in range(len(left_labels)):
-        row = sorted(by_left.get(i, ()))
-        adjacency.append(tuple(row))
-        ranks.append(tuple(edges[(i, j)] for j in row))
-    return BipartiteGraph(
-        left_labels=tuple(left_labels),
-        right_labels=tuple(right_labels),
-        adjacency=tuple(adjacency),
-        ranks=tuple(ranks),
-    )
-
 
 @dataclass(frozen=True)
 class AllocationGraph(BipartiteGraph):
@@ -345,46 +319,46 @@ def _slot_label(slot: Slot) -> str:
 # Exports
 # ---------------------------------------------------------------------------
 
-def graph_to_text(graph: AllocationGraph, instance: Instance) -> str:
-    """Structured text listing vertices, edges and edge ranks."""
-    lines = [
+def graph_to_text(graph: AllocationGraph, instance: Instance) -> Iterator[str]:
+    """Structured text listing vertices, edges and edge ranks.
+
+    Yields one line at a time, newline included; ``"".join`` gives the text.
+    """
+    yield (
         f"allocation-graph kind={graph.kind} extended={str(graph.extended).lower()} "
-        f"slots={graph.left_count} items={graph.right_count} real-items={graph.real_item_count}"
-    ]
+        f"slots={graph.left_count} items={graph.right_count} real-items={graph.real_item_count}\n"
+    )
     for idx, slot in enumerate(graph.slots):
         kind = "spare-slot" if slot.spare else "slot"
-        lines.append(
-            f"{kind} {idx} agent={instance.agents[slot.agent].name} position={slot.position}"
-        )
+        yield f"{kind} {idx} agent={instance.agents[slot.agent].name} position={slot.position}\n"
     for j, label in enumerate(graph.right_labels):
         suffix = " dummy" if graph.is_dummy_item(j) else ""
-        lines.append(f"item {j} {label}{suffix}")
+        yield f"item {j} {label}{suffix}\n"
     for i in range(graph.left_count):
         for j, rank in zip(graph.adjacency[i], graph.ranks[i]):
-            lines.append(f"edge {i} {j} rank={rank}")
-    return "\n".join(lines) + "\n"
+            yield f"edge {i} {j} rank={rank}\n"
 
 
-def graph_to_dot(graph: AllocationGraph, instance: Instance) -> str:
-    """DOT export: slots on the left, items on the right, dummies dashed."""
-    lines = [
-        "graph allocation {",
-        "  rankdir=LR;",
-        "  node [shape=box];",
-    ]
+def graph_to_dot(graph: AllocationGraph, instance: Instance) -> Iterator[str]:
+    """DOT export: slots on the left, items on the right, dummies dashed.
+
+    Yields one line at a time, as :func:`graph_to_text` does.
+    """
+    yield "graph allocation {\n"
+    yield "  rankdir=LR;\n"
+    yield "  node [shape=box];\n"
     for idx, slot in enumerate(graph.slots):
         style = ' style=dashed' if slot.spare else ""
         label = f"{_dot_escape(instance.agents[slot.agent].name)}:{slot.position}"
-        lines.append(f'  s{idx} [label="{label}"{style}];')
+        yield f'  s{idx} [label="{label}"{style}];\n'
     for j, label in enumerate(graph.right_labels):
         style = ' style=dashed' if graph.is_dummy_item(j) else ""
-        lines.append(f'  i{j} [label="{_dot_escape(label)}" shape=ellipse{style}];')
+        yield f'  i{j} [label="{_dot_escape(label)}" shape=ellipse{style}];\n'
     for i in range(graph.left_count):
         for j, rank in zip(graph.adjacency[i], graph.ranks[i]):
             style = ' style=dashed' if graph.is_dummy_item(j) else ""
-            lines.append(f'  s{i} -- i{j} [label="{rank}"{style}];')
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+            yield f'  s{i} -- i{j} [label="{rank}"{style}];\n'
+    yield "}\n"
 
 
 def _dot_escape(name: str) -> str:

@@ -13,9 +13,11 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from itertools import islice
 from pathlib import Path
+from typing import Iterable
 
-from . import allocgraph, bobw, fairness, matching, optimize
+from . import allocgraph, bobw, fairness, matching, optimize, oracle
 from .allocgraph import build_allocation_graph, extend_allocation_graph, graph_to_dot, graph_to_text
 from .core import (
     FormatError,
@@ -38,22 +40,30 @@ def _read(path: str) -> str:
         raise FormatError(f"{path} is not UTF-8 text: {exc}") from exc
 
 
-def _emit(text: str, out: str | None) -> None:
+def _emit(chunks: Iterable[str], out: str | None) -> None:
+    """Write ``chunks`` as UTF-8 to the file ``out`` or to stdout.
+
+    They are joined and written 4096 at a time: a generator of lines is
+    never held whole, and a line costs no write call of its own.
+    """
+    chunks = iter(chunks)
+    batches = ("".join(batch) for batch in iter(lambda: list(islice(chunks, 4096)), []))
     if out:
-        Path(out).write_text(text, encoding="utf-8")
+        with open(out, "w", encoding="utf-8") as file:
+            file.writelines(batches)
         return
     # stdout's text layer encodes in the locale's encoding, which may not
     # cover every name, so the text goes to its byte layer as UTF-8
     buffer = getattr(sys.stdout, "buffer", None)
     if buffer is None:
-        sys.stdout.write(text)
+        sys.stdout.writelines(batches)
     else:
         sys.stdout.flush()
-        buffer.write(text.encode("utf-8"))
+        buffer.writelines(batch.encode("utf-8") for batch in batches)
 
 
 def _emit_json(data: object, out: str | None) -> None:
-    _emit(json.dumps(data, indent=2) + "\n", out)
+    _emit((json.dumps(data, indent=2), "\n"), out)
 
 
 def _load_instance_file(path: str) -> Instance:
@@ -62,7 +72,7 @@ def _load_instance_file(path: str) -> Instance:
 
 def cmd_gen(args: argparse.Namespace) -> int:
     instance = generate_instance(args.agents, args.items, args.kind, args.seed)
-    _emit(dump_instance(instance), args.output)
+    _emit((dump_instance(instance),), args.output)
     return 0
 
 
@@ -119,16 +129,16 @@ def cmd_verify(args: argparse.Namespace) -> int:
     try:
         report = fairness.check_allocation(instance, allocation)
     except fairness.MalformedAllocation as exc:
-        _emit(f"malformed allocation: {exc}\noverall: FAIL\n", None)
+        _emit((f"malformed allocation: {exc}\noverall: FAIL\n",), None)
         return 1
-    _emit(fairness.render_report(instance, report), None)
+    _emit((fairness.render_report(instance, report),), None)
     return 0 if report.passes else 1
 
 
 def cmd_oracle(args: argparse.Namespace) -> int:
     instance = _load_instance_file(args.instance)
-    allocations = fairness.enumerate_wsdprop1(instance, cap=args.cap)
-    consistent = matching.matchings_agree_with(instance, allocations, cap=args.cap)
+    allocations = oracle.enumerate_wsdprop1(instance, cap=args.cap)
+    consistent = oracle.matchings_agree_with(instance, allocations, cap=args.cap)
     payload = {
         "count": len(allocations),
         "allocations": [allocation_to_json(instance, a) for a in allocations],
@@ -210,7 +220,6 @@ INTERNAL_ERRORS = (
     allocgraph.GraphInternalError,
     matching.MatchingInternalError,
     matching.NoPerfectMatching,
-    matching.NotRankMaximal,
     matching.NotDoublyStochastic,
     bobw.BobwInternalError,
 )
@@ -221,7 +230,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (InstanceError, FormatError, fairness.InstanceTooLarge) as exc:
+    except (InstanceError, FormatError, oracle.InstanceTooLarge) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:

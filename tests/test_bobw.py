@@ -1,6 +1,7 @@
 """Tests for the fractional matching construction and the uniform lottery."""
 
 import json
+import random
 from fractions import Fraction
 from pathlib import Path
 
@@ -14,7 +15,8 @@ from fairmatch.bobw import (
     uniform_lottery,
 )
 from fairmatch.core import IntegralAllocation, generate_instance, validate_instance
-from fairmatch.fairness import check_allocation, check_wsdef_fractional
+from fairmatch.fairness import check_allocation
+from fairmatch.oracle import check_wsdef_fractional
 
 
 def make(kind, items, agents):
@@ -176,6 +178,39 @@ def assert_exact_lottery(inst, lottery):
         assert sum(map(len, allocation.bundles)) == inst.m
     rows = sum(slot_count(inst, i) + (inst.kind == "goods") for i in range(inst.n))
     assert len(lottery.entries) <= rows * rows - rows + 2
+
+
+def test_lottery_parts_verify_and_mix_to_the_entitlements():
+    # random instances of both kinds, n <= 4 and m <= 12, entitlements
+    # w_i / sum(w) with weights up to 10**6
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    @hypothesis.settings(max_examples=150, deadline=None, database=None)
+    @hypothesis.given(
+        weights=st.lists(st.integers(1, 9) | st.integers(1, 10**6), min_size=1, max_size=4),
+        m=st.integers(0, 12),
+        kind=st.sampled_from(["goods", "chores"]),
+        seed=st.integers(0, 2**32),
+    )
+    @hypothesis.example(weights=[1], m=0, kind="goods", seed=0)
+    @hypothesis.example(weights=[1], m=0, kind="chores", seed=0)
+    @hypothesis.example(weights=[3, 5], m=0, kind="goods", seed=0)
+    @hypothesis.example(weights=[3, 5], m=0, kind="chores", seed=0)
+    @hypothesis.example(weights=[4], m=12, kind="goods", seed=1)
+    @hypothesis.example(weights=[4], m=12, kind="chores", seed=1)
+    def check(weights, m, kind, seed):
+        rng = random.Random(seed)
+        items = [f"b{j + 1}" for j in range(m)]
+        agents = []
+        for i, w in enumerate(weights):
+            ranking = list(items)
+            rng.shuffle(ranking)
+            agents.append((f"a{i + 1}", Fraction(w, sum(weights)), ranking))
+        inst = make(kind, items, agents)
+        assert_exact_lottery(inst, uniform_lottery(inst))
+
+    check()
 
 
 @pytest.mark.parametrize("kind", ["goods", "chores"])

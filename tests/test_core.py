@@ -1,10 +1,12 @@
 """Tests for the instance model, validation, intervals and generation."""
 
+import json
 import random
 from fractions import Fraction
 
 import pytest
 
+from fairmatch.bobw import Lottery, lottery_from_json, lottery_to_json
 from fairmatch.core import (
     FormatError,
     InstanceError,
@@ -15,12 +17,13 @@ from fairmatch.core import (
     generate_instance,
     instance_from_json,
     instance_to_json,
-    interval_set,
     load_instance,
+    parse_json,
     parse_rational,
     validate_instance,
 )
 from fairmatch.core import IntegralAllocation
+from fairmatch.oracle import interval_set
 
 
 def make(kind, items, agents):
@@ -264,6 +267,73 @@ def test_allocation_json_round_trip():
     # the wrapped form emitted by solve --seq is accepted too
     wrapped = {"allocation": data, "sequence": ["a1", "a2", "a1"]}
     assert allocation_from_json(inst, wrapped) == alloc
+
+
+def test_allocation_json_reads_an_agent_named_allocation():
+    # a bare map's bundles are arrays; only an object under "allocation"
+    # is the wrapped form
+    inst = make("chores", ["b1", "b2"], [
+        ("allocation", Fraction(1, 2), ["b1", "b2"]),
+        ("sequence", Fraction(1, 2), ["b2", "b1"]),
+    ])
+    alloc = IntegralAllocation(bundles=(frozenset({"b2"}), frozenset({"b1"})))
+    data = allocation_to_json(inst, alloc)
+    assert data == {"allocation": ["b2"], "sequence": ["b1"]}
+    assert allocation_from_json(inst, data) == alloc
+    assert allocation_from_json(inst, {"allocation": data, "sequence": ["sequence"]}) == alloc
+
+
+def _files(st):
+    """An instance of either kind, n <= 4 and m <= 12, named with quotes,
+    backslashes and non-ASCII text; an allocation of it (goods may be
+    left over); and a lottery over such allocations."""
+    names = st.text(
+        st.characters(blacklist_categories=("Cs",)) | st.sampled_from('"\\\'/é日 '),
+        max_size=6,
+    ) | st.just("allocation")
+
+    @st.composite
+    def files(draw):
+        items = draw(st.lists(names, max_size=12, unique=True))
+        agents = draw(st.lists(names, min_size=1, max_size=4, unique=True))
+        weights = draw(st.lists(st.integers(1, 10**6), min_size=len(agents), max_size=len(agents)))
+        inst = make(draw(st.sampled_from(["goods", "chores"])), items, [
+            (name, Fraction(w, sum(weights)), draw(st.permutations(items)))
+            for name, w in zip(agents, weights)
+        ])
+        # an owner of -1 leaves a good unallocated
+        agent_index = st.integers(-1 if inst.kind == "goods" else 0, inst.n - 1)
+
+        def allocation():
+            owners = draw(st.lists(agent_index, min_size=inst.m, max_size=inst.m))
+            return IntegralAllocation(bundles=tuple(
+                frozenset(item for item, owner in zip(items, owners) if owner == i)
+                for i in range(inst.n)
+            ))
+
+        parts = draw(st.lists(st.integers(1, 10**6), min_size=1, max_size=4))
+        lottery = Lottery(entries=tuple((Fraction(w, sum(parts)), allocation()) for w in parts))
+        return inst, allocation(), lottery
+
+    return files()
+
+
+def test_files_round_trip_with_any_names():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    @hypothesis.settings(max_examples=200, deadline=None, database=None)
+    @hypothesis.given(case=_files(st))
+    def check(case):
+        inst, alloc, lottery = case
+        assert load_instance(dump_instance(inst)) == inst
+        data = allocation_to_json(inst, alloc)
+        assert allocation_from_json(inst, data) == alloc
+        assert allocation_from_json(inst, parse_json(json.dumps(data, indent=2))) == alloc
+        text = json.dumps(lottery_to_json(inst, lottery), indent=2)
+        assert lottery_from_json(inst, json.loads(text)) == lottery
+
+    check()
 
 
 def test_allocation_json_rejects_unknown_names():

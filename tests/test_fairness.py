@@ -16,20 +16,23 @@ from fairmatch.core import (
 )
 from fairmatch.fairness import (
     IncompleteChoresSequence,
-    InstanceTooLarge,
     MalformedAllocation,
-    NegativeValue,
     SequenceTooLongForItems,
     check_allocation,
     check_bundle,
-    check_wprop1_cardinal,
-    check_wsdef_fractional,
-    enumerate_wsdprop1,
     render_report,
     simulate_picking_sequence,
+)
+from fairmatch.oracle import (
+    InstanceTooLarge,
+    NegativeValue,
+    allocation_from_matching,
+    check_wprop1_cardinal,
+    check_wsdef_fractional,
+    enumerate_side_perfect_matchings,
+    enumerate_wsdprop1,
     step_valuation_oracle,
 )
-from fairmatch.matching import allocation_from_matching, enumerate_side_perfect_matchings
 
 
 def make(kind, items, agents):

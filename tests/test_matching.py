@@ -13,7 +13,6 @@ from scaled_assignment import scaled_assignment
 from fairmatch.allocgraph import (
     build_allocation_graph,
     extend_allocation_graph,
-    ranked_graph,
     slot_reaches,
     spare_slot_count,
 )
@@ -23,23 +22,26 @@ from fairmatch.core import (
     generate_instance,
     validate_instance,
 )
-from fairmatch.fairness import InstanceTooLarge, check_allocation, simulate_picking_sequence
+from fairmatch.fairness import check_allocation, simulate_picking_sequence
 from fairmatch.matching import (
     Matching,
     NoPerfectMatching,
     NotDoublyStochastic,
     NotRankMaximal,
-    allocation_from_matching,
     bvn_decompose,
-    enumerate_side_perfect_matchings,
     extract_picking_sequence,
     max_matching,
     normalize_slot_order,
     perfect_allocation,
     rank_maximal_perfect_matching,
-    signature,
     solve_with_sequence,
 )
+from fairmatch.oracle import (
+    InstanceTooLarge,
+    allocation_from_matching,
+    enumerate_side_perfect_matchings,
+)
+from reference import max_rank, ranked_graph, signature
 
 
 def make(kind, items, agents):
@@ -695,7 +697,7 @@ def test_rank_maximal_agrees_with_networkx_beyond_brute_force():
         left = rng.randint(10, 30)
         right = left + rng.choice((0, 0, rng.randint(1, 10)))
         graph, _ = random_cost_graph(rng, left, right, rng.uniform(0.05, 0.3))
-        width = graph.max_rank()
+        width = max_rank(graph)
         size, total = networkx_best(
             graph, lambda i, j: (left + 1) ** (width - graph.rank_of(i, j))
         )

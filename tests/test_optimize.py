@@ -10,7 +10,7 @@ from scaled_assignment import scaled_assignment
 import fairmatch.optimize
 from fairmatch.allocgraph import build_allocation_graph, extend_allocation_graph, spare_slot_count
 from fairmatch.core import FormatError, generate_instance, validate_instance
-from fairmatch.fairness import check_allocation, enumerate_wsdprop1
+from fairmatch.fairness import check_allocation
 from fairmatch.matching import assignment_min_cost
 from fairmatch.optimize import (
     MAXIMIZE,
@@ -20,6 +20,7 @@ from fairmatch.optimize import (
     optimize_allocation,
     parse_costs,
 )
+from fairmatch.oracle import enumerate_wsdprop1
 
 
 def make(kind, items, agents):
