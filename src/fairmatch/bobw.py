@@ -23,6 +23,7 @@ arithmetic and gives the full extended graph's weights as fractions.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator
@@ -34,6 +35,7 @@ from .core import (
     FractionalAllocation,
     Instance,
     IntegralAllocation,
+    allocation_from_json,
     format_rational,
     parse_rational,
 )
@@ -246,17 +248,27 @@ def lottery_to_json(instance: Instance, lottery: Lottery) -> dict:
 
 
 def lottery_from_json(instance: Instance, data: object) -> Lottery:
-    from .core import allocation_from_json
-
+    """Parse a lottery file.  Every probability must be positive, they
+    must sum to exactly 1, and no item may sit in two bundles of one part;
+    otherwise :class:`FormatError` is raised."""
     if not isinstance(data, dict) or set(data) != {"parts"}:
         raise FormatError('lottery file must be an object with a "parts" array')
     if not isinstance(data["parts"], list):
         raise FormatError("parts must be an array")
     entries = []
-    for part in data["parts"]:
+    for number, part in enumerate(data["parts"], start=1):
         if not isinstance(part, dict) or set(part) != {"probability", "allocation"}:
             raise FormatError("each part needs exactly probability and allocation")
         weight = parse_rational(part["probability"])
+        if weight <= 0:
+            raise FormatError(f"part {number} has probability {part['probability']}, not positive")
         allocation = allocation_from_json(instance, part["allocation"])
+        held = Counter(item for bundle in allocation.bundles for item in bundle)
+        shared = [item for item in instance.items if held[item] > 1]
+        if shared:
+            raise FormatError(f"part {number} puts items in two bundles: {shared}")
         entries.append((weight, allocation))
+    total = sum((weight for weight, _ in entries), Fraction(0))
+    if total != 1:
+        raise FormatError(f"probabilities sum to {format_rational(total)}, not 1")
     return Lottery(entries=tuple(entries))

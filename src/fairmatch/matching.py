@@ -8,11 +8,10 @@ This module bundles every matching primitive the library needs:
 * one exact minimum-cost matching kernel over integer cost rows: a
   maximum matching of the edges left tight by row reduction, then
   successive shortest paths from the rows it leaves free, with Dijkstra
-  over the sparse adjacency lists and integer potentials, where a right
-  vertex may take several left vertices up to its capacity (the spare
-  slots of one agent as one vertex).  It serves both ``optimize``, whose
-  costs arrive as integers over one common denominator, and rank-maximal
-  matching (an edge of rank ``r`` weighs ``B**(w - r)``);
+  over the sparse adjacency lists and integer potentials.  It serves
+  both ``optimize``, whose costs arrive as integers over one common
+  denominator, and rank-maximal matching (an edge of rank ``r`` weighs
+  ``B**(w - r)``);
 * rank-maximal perfect matchings (the paper's construction, kept as a
   reference), slot-order normalization and picking-sequence extraction;
 * fair allocations, with or without a picking sequence, from one serial
@@ -62,11 +61,7 @@ class MatchingInternalError(AssertionError):
 
 @dataclass(frozen=True)
 class Matching:
-    """A set of (left, right) pairs with no vertex repeated.
-
-    A capacitated assignment (:func:`assignment_min_cost`) repeats a right
-    vertex up to its capacity.
-    """
+    """A set of (left, right) pairs with no vertex repeated."""
 
     pairs: tuple[tuple[int, int], ...]
 
@@ -209,63 +204,53 @@ def assignment_min_cost(
     adjacency: Sequence[Sequence[int]],
     costs: Sequence[Sequence[int]],
     right_count: int,
-    capacity: Sequence[int] | None = None,
 ) -> Matching:
     """Min-cost matching saturating every left vertex, over integer costs.
 
-    ``costs[i]`` is aligned with ``adjacency[i]``.  Right vertex ``j``
-    takes up to ``capacity[j]`` left vertices (one each when ``capacity``
-    is omitted; a wrong length raises :class:`ValueError`) and need not
-    be filled.  Returns one pair per left vertex, in left order; raises
-    :class:`NoPerfectMatching` when some left vertex cannot be saturated.
+    ``costs[i]`` is aligned with ``adjacency[i]``.  Each right vertex takes
+    at most one left vertex and need not be matched.  Returns one pair per
+    left vertex, in left order; raises :class:`NoPerfectMatching` when
+    some left vertex cannot be saturated.
 
     The potentials start at ``u`` = row minimum and ``v`` = 0, so every
     reduced cost ``c - u[i] - v[j]`` is nonnegative and each row's
     cheapest edges are tight (reduced cost zero).  The tight start of
     Jonker and Volgenant ("A shortest augmenting path algorithm for dense
     and sparse linear assignment problems", Computing 38, 1987) begins
-    from a maximum matching (:func:`max_matching`) of the tight edges to
-    unit right vertices; right vertices of other capacities are left to
-    the searches.  The duals stay feasible and complementary: every
-    matched edge is tight, every reduced cost is nonnegative, and every
-    right vertex still has ``v`` = 0, the value an unfilled one must
-    have.  So the optimum is the one the searches alone would reach;
-    only among equal-cost matchings may the start pick another.
+    from a maximum matching (:func:`max_matching`) of the tight edges.
+    The duals stay feasible and complementary: every matched edge is
+    tight, every reduced cost is nonnegative, and every right vertex
+    still has ``v`` = 0, the value an unmatched one must have.  So the
+    optimum is the one the searches alone would reach; only among
+    equal-cost matchings may the start pick another.
 
     Successive shortest paths then saturate the left vertices the start
     leaves free, in index order: each augments along a shortest
-    alternating path to a right vertex with room left, found by Dijkstra
-    over the reduced costs, which stay nonnegative under exact integer
-    potentials.  A settled right vertex with room ends the search; a full
-    one relaxes every left vertex matched to it, all of which share its
-    distance because their edges to it are tight.  The heap orders
-    ``(distance, full, right)``: at equal distance a right vertex with
-    room pops first and ends the search, where a search that settled
-    full vertices first would relax their rows for nothing, and other
+    alternating path to an unmatched right vertex, found by Dijkstra over
+    the reduced costs, which stay nonnegative under exact integer
+    potentials.  A settled unmatched right vertex ends the search; a
+    matched one relaxes the row of its left vertex, at its distance
+    because their edge is tight.  The heap orders ``(distance, full,
+    right)``, full meaning matched: at equal distance an unmatched right
+    vertex pops first and ends the search, where a search that settled
+    matched vertices first would relax their rows for nothing, and other
     ties break by vertex index.  Each entry is that triple packed into
     one integer, ``(2 * distance + full) * right_count + right``, which
     orders the same way; unlike a tuple, an integer is no container the
     garbage collector counts, so the pushes of a long search trigger no
     collections over the caller's objects.
     """
-    if capacity is not None and len(capacity) != right_count:
-        raise ValueError("capacity needs one entry per right vertex")
     u = [min(row, default=0) for row in costs]
     v = [0] * right_count
-    room = [1] * right_count if capacity is None else list(capacity)
-    # a unit right vertex keeps its left vertex in ``owner``; any other
-    # keeps its left vertices in ``held``, in the order they arrived
     owner = [-1] * right_count
-    held: dict[int, dict[int, None]] = {j: {} for j, c in enumerate(room) if c != 1}
     mate = [-1] * len(adjacency)
     tight = [
-        [j for j, c in zip(row, cost) if c == ui and room[j] == 1]
+        [j for j, c in zip(row, cost) if c == ui]
         for row, cost, ui in zip(adjacency, costs, u)
     ]
     for i, j in max_matching(tight, right_count).pairs:
         mate[i] = j
         owner[j] = i
-        room[j] = 0
     for s in range(len(adjacency)):
         if mate[s] >= 0:
             continue
@@ -277,7 +262,7 @@ def assignment_min_cost(
             d = c - us - v[j]
             dist[j] = d
             via[j] = s
-            heap.append((d << 1 | (room[j] == 0)) * right_count + j)
+            heap.append((d << 1 | (owner[j] >= 0)) * right_count + j)
         heapq.heapify(heap)
         settled: list[int] = []
         while True:
@@ -288,42 +273,34 @@ def assignment_min_cost(
             if d != dist[j]:
                 continue  # superseded by a shorter path
             settled.append(j)
-            if room[j]:
-                break
             i = owner[j]
+            if i < 0:
+                break
             # a settled vertex never improves (reduced costs are
             # nonnegative), so it needs no separate check here
-            for i in (i,) if i >= 0 else held[j]:
-                off = d - u[i]
-                for k, c in zip(adjacency[i], costs[i]):
-                    nd = off + c - v[k]
-                    old = dist[k]
-                    if old is None or nd < old:
-                        dist[k] = nd
-                        via[k] = i
-                        heapq.heappush(heap, (nd << 1 | (room[k] == 0)) * right_count + k)
+            off = d - u[i]
+            for k, c in zip(adjacency[i], costs[i]):
+                nd = off + c - v[k]
+                old = dist[k]
+                if old is None or nd < old:
+                    dist[k] = nd
+                    via[k] = i
+                    heapq.heappush(heap, (nd << 1 | (owner[k] >= 0)) * right_count + k)
         # shift the potentials so the reduced costs stay nonnegative and
-        # every edge of the path just found becomes tight
+        # every edge of the path just found becomes tight; only the last
+        # settled vertex, at distance d, is unmatched
         for k in settled:
             delta = d - dist[k]
             if delta:
                 v[k] -= delta
-                i = owner[k]
-                for i in (i,) if i >= 0 else held[k]:
-                    u[i] += delta
+                u[owner[k]] += delta
         u[s] += d
-        room[j] -= 1
         while True:
             i = via[j]
-            if j in held:
-                held[j][i] = None
-            else:
-                owner[j] = i
+            owner[j] = i
             mate[i], j = j, mate[i]
             if i == s:
                 break
-            if j in held:
-                del held[j][i]
     return Matching(pairs=tuple(enumerate(mate)))
 
 
@@ -383,10 +360,10 @@ def normalize_slot_order(matching: Matching, graph: AllocationGraph) -> Matching
 
     After normalization, among the slots of one agent that hold real items,
     a higher slot position holds a strictly better matching-rank for chores
-    and a strictly worse one for goods; dummy-held slots keep dummy items
-    (sorted by index).  The rank profile is unchanged because ranks depend
-    only on the agent and the item, and every reassigned edge exists by the
-    nesting of slot neighborhoods.  Idempotent.
+    and a strictly worse one for goods; slots holding dummy items keep
+    dummy items (sorted by index).  The rank profile is unchanged because
+    ranks depend only on the agent and the item, and every reassigned
+    edge exists by the nesting of slot neighborhoods.  Idempotent.
     """
     by_agent: dict[int, list[tuple[int, int]]] = {}
     for slot_idx, item_idx in matching.pairs:
@@ -638,10 +615,10 @@ def solve_with_sequence(
     """
     picks, order = _serial_dictatorship(instance)
     picked = [s for s, _, _ in picks if s >= 0]
-    held = set(picked)
+    taken = set(picked)
     sequence = PickingSequence(
         sequence=tuple(i for _, i, _ in picks),
-        slots=tuple(picked + [s for s in order if s not in held]),
+        slots=tuple(picked + [s for s in order if s not in taken]),
     )
     return _bundles(instance, picks), sequence
 

@@ -3,15 +3,27 @@
 Perfect matchings of the extended allocation graph are exactly the fair
 allocations, and the matching polytope is integral, so optimizing any
 linear objective over fair allocations reduces to one exact min-cost
-matching.  Every item is a row matched exactly once, and every slot of
-the plain graph, read from :func:`~fairmatch.allocgraph.slot_reaches`
-with no graph built, is a column of capacity 1 carrying its agent's
-per-item cost.  For goods, an agent's q spare slots are one column of
-capacity q with the same costs; a unit of it left unused stands for a
-spare slot matched to a dummy good, so no dummy items are built.  Goods
-must also fill every real slot, which a constant taken off every
-real-slot edge enforces.  Chores need neither: a matching of the plain
-graph that covers every chore is already fair.
+matching, read from :func:`~fairmatch.allocgraph.slot_reaches` with no
+graph built.  With ``floor[j]`` the least cost of item ``j`` over all
+agents, an edge of agent ``i`` to item ``j`` costs
+``cost[i][j] - floor[j] >= 0``.
+
+Chores: every chore is a row matched exactly once, and every slot of the
+plain graph is a unit column; as every chore is matched, the floors take
+one constant off every matching.  A matching of the plain graph that
+covers every chore is already fair.
+
+Goods: the rows are the real slots of the plain graph, each reaching its
+best-first prefix, and the columns are the goods, each taken at most
+once.  The matching saturates the slots, and every good it leaves free
+goes to an agent of cost ``floor[j]``.  This is exact: real slots reach
+no dummy goods, so every perfect matching of the extended graph fills
+each real slot with a real good and leaves exactly q goods to the n*q
+spare slots, and any spread of those goods fits, because each agent
+alone has q spare slots that reach every good; the objective is
+therefore the sum of the floors plus the matched reduced costs.  The result verifies because it is a
+slot-saturating matching of the plain graph, and any completion of a
+fair goods allocation stays fair.
 """
 
 from __future__ import annotations
@@ -19,11 +31,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import Iterator, Sequence
 
-from .allocgraph import slot_reaches, spare_slot_count
+from .allocgraph import slot_reaches
 from .core import GOODS, FormatError, Instance, IntegralAllocation, parse_rational
-from .matching import MatchingInternalError, assignment_min_cost
+from .matching import assignment_min_cost
 
 MINIMIZE = "minimize"
 MAXIMIZE = "maximize"
@@ -65,8 +77,8 @@ def optimize_allocation(
     The objective of an allocation is the sum over real items of the
     owning agent's cost for that item; the optimum is taken over all fair
     allocations and the returned one always verifies.  The kernel takes
-    the spec's integer rows as they are, negated to maximize, and the
-    objective becomes a fraction once, at the end.
+    the spec's integer rows, negated to maximize, less each item's least
+    cost, and the objective becomes a fraction once, at the end.
     """
     if spec.direction not in (MINIMIZE, MAXIMIZE):
         raise ValueError(f"direction must be {MINIMIZE} or {MAXIMIZE}")
@@ -76,20 +88,54 @@ def optimize_allocation(
     if len(rows) != instance.n or any(len(row) != instance.m for row in rows):
         raise IncompleteCostSpec(f"expected {instance.n} cost rows of {instance.m} entries")
     table = [[-c for c in row] for row in rows] if spec.direction == MAXIMIZE else rows
+    # the floors also make the kernel's costs fresh integers, laid out row
+    # by row: it ran up to 1.7x slower on rows whose integers lay scattered
+    # in memory, as the table's entries do when read column by column
+    columns = list(zip(*table))
+    floor = [min(column) for column in columns]
+    # a good that no real slot takes goes to its cheapest agent, the lowest
+    # index among equals; every chore is matched
+    owner = [column.index(low) for column, low in zip(columns, floor)]
+    match = _match_goods if instance.kind == GOODS else _match_chores
+    for j, i in match(instance, table, floor):
+        owner[j] = i
+    bundles: list[set[str]] = [set() for _ in range(instance.n)]
+    for item, i in zip(instance.items, owner):
+        bundles[i].add(item)
+    allocation = IntegralAllocation(bundles=tuple(frozenset(b) for b in bundles))
+    total = sum(rows[i][j] for j, i in enumerate(owner))
+    return allocation, Fraction(total, spec.denominator)
 
-    # goods must fill every real slot: the offset exceeds the gap between
-    # the raw costs of any two item-covering assignments, so taking it off
-    # each real-slot edge makes the cheapest one fill as many real slots
-    # as possible, which is all of them because a fair allocation exists
-    m = instance.m
-    offset = 0
-    if instance.kind == GOODS:
-        offset = 2 * m * max((abs(c) for row in table for c in row), default=0) + 1
 
-    # items are the rows; the columns are the real slots, agent-major, each
-    # listed in the rows of the items its prefix reaches, then for goods
-    # one spare column per agent that takes up to q items
-    columns: list[list[int]] = [[] for _ in range(m)]
+def _match_goods(
+    instance: Instance, table: Sequence[Sequence[int]], floor: Sequence[int]
+) -> Iterator[tuple[int, int]]:
+    """(good, agent) pairs of the cheapest matching that fills every real slot."""
+    adjacency: list[tuple[int, ...]] = []
+    costs: list[list[int]] = []
+    agent_of: list[int] = []
+    for i, (best_first, reaches) in enumerate(slot_reaches(instance)):
+        t = table[i]
+        for reach in reaches:
+            prefix = best_first[:reach]
+            adjacency.append(prefix)
+            # one list per slot: rows sliced from one list per agent made
+            # the kernel 20-25% slower on goods 100x1000 maximize
+            costs.append([t[j] - floor[j] for j in prefix])
+            agent_of.append(i)
+    for s, j in assignment_min_cost(adjacency, costs, instance.m).pairs:
+        yield j, agent_of[s]
+
+
+def _match_chores(
+    instance: Instance, table: Sequence[Sequence[int]], floor: Sequence[int]
+) -> Iterator[tuple[int, int]]:
+    """(chore, agent) pairs of the cheapest matching that covers every chore.
+
+    The chores are the rows; the columns are the slots, agent-major, each
+    listed in the rows of the chores its prefix reaches.
+    """
+    columns: list[list[int]] = [[] for _ in range(instance.m)]
     agent_of: list[int] = []
     for i, (best_first, reaches) in enumerate(slot_reaches(instance)):
         for reach in reaches:
@@ -97,32 +143,11 @@ def optimize_allocation(
             for j in best_first[:reach]:
                 columns[j].append(s)
             agent_of.append(i)
-    real = len(agent_of)
-    capacity = [1] * real
-    q = spare_slot_count(instance) if instance.kind == GOODS else 0
-    if q:
-        agent_of += range(instance.n)
-        capacity += [q] * instance.n
-        for column in columns:
-            column += range(real, real + instance.n)
-    # fresh integers row by row, and one column index per slot: the kernel
-    # ran up to 1.7x slower on rows whose integers lay scattered in memory
     costs = [
-        [table[agent_of[s]][j] - (offset if s < real else 0) for s in column]
-        for j, column in enumerate(columns)
+        [table[agent_of[s]][j] - floor[j] for s in column] for j, column in enumerate(columns)
     ]
-
-    match = assignment_min_cost(columns, costs, len(agent_of), capacity)
-    if instance.kind == GOODS:
-        filled = sum(column < real for _, column in match.pairs)
-        if filled != real:
-            raise MatchingInternalError(f"optimum fills {filled} of {real} real slots")
-    bundles: list[set[str]] = [set() for _ in range(instance.n)]
-    for item_idx, column in match.pairs:
-        bundles[agent_of[column]].add(instance.items[item_idx])
-    allocation = IntegralAllocation(bundles=tuple(frozenset(b) for b in bundles))
-    total = sum(rows[agent_of[column]][j] for j, column in match.pairs)
-    return allocation, Fraction(total, spec.denominator)
+    for j, s in assignment_min_cost(columns, costs, len(agent_of)).pairs:
+        yield j, agent_of[s]
 
 
 def parse_costs(text: str, instance: Instance, direction: str) -> CostSpec:

@@ -14,7 +14,7 @@ from fairmatch.bobw import (
     lottery_to_json,
     uniform_lottery,
 )
-from fairmatch.core import IntegralAllocation, generate_instance, validate_instance
+from fairmatch.core import FormatError, IntegralAllocation, generate_instance, validate_instance
 from fairmatch.fairness import check_allocation
 from fairmatch.oracle import check_wsdef_fractional
 
@@ -306,3 +306,32 @@ def test_lottery_json_round_trip():
     # the mixture is recomputable from the file contents alone
     mix = again.mixture(inst)
     assert all(x == Fraction(1, 2) for row in mix.shares for x in row)
+
+
+def two_goods_lottery_file():
+    # three parts, of probability 1/5, 2/5 and 2/5
+    inst = generate_instance(2, 2, "goods", 1)
+    return inst, lottery_to_json(inst, uniform_lottery(inst))
+
+
+@pytest.mark.parametrize("probability", ["0", "-3"])
+def test_lottery_file_with_a_probability_not_positive_is_rejected(probability):
+    inst, data = two_goods_lottery_file()
+    data["parts"][0]["probability"] = probability
+    with pytest.raises(FormatError, match="not positive"):
+        lottery_from_json(inst, data)
+
+
+def test_lottery_file_whose_probabilities_do_not_sum_to_one_is_rejected():
+    inst, data = two_goods_lottery_file()
+    lottery_from_json(inst, data)
+    for parts, total in ((data["parts"][:1], "1/5"), (data["parts"] * 2, "2"), ([], "0")):
+        with pytest.raises(FormatError, match=f"sum to {total}, not 1"):
+            lottery_from_json(inst, {"parts": parts})
+
+
+def test_lottery_file_with_an_item_in_two_bundles_is_rejected():
+    inst, data = two_goods_lottery_file()
+    data["parts"][0]["allocation"] = {"a1": ["b1"], "a2": ["b1", "b2"]}
+    with pytest.raises(FormatError, match=r"two bundles: \['b1'\]"):
+        lottery_from_json(inst, data)
