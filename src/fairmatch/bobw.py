@@ -60,16 +60,19 @@ class Lottery:
     entries: tuple[tuple[Fraction, IntegralAllocation], ...]
 
     def mixture(self, instance: Instance) -> FractionalAllocation:
-        """Exact marginal share matrix implemented by the lottery."""
-        shares = [
-            [Fraction(0)] * instance.m for _ in range(instance.n)
-        ]
+        """Exact marginal share matrix implemented by the lottery, summed
+        as integers over the weights' common denominator."""
+        denominator = math.lcm(*(weight.denominator for weight, _ in self.entries))
+        shares = [[0] * instance.m for _ in range(instance.n)]
         index = {item: j for j, item in enumerate(instance.items)}
         for weight, allocation in self.entries:
-            for i, bundle in enumerate(allocation.bundles):
+            w = weight.numerator * (denominator // weight.denominator)
+            for row, bundle in zip(shares, allocation.bundles):
                 for item in bundle:
-                    shares[i][index[item]] += weight
-        return FractionalAllocation(shares=tuple(tuple(row) for row in shares))
+                    row[index[item]] += w
+        return FractionalAllocation(
+            shares=tuple(tuple(Fraction(x, denominator) for x in row) for row in shares)
+        )
 
 
 def _interval_rows(instance: Instance, denom: int) -> Iterator[list[dict[int, int]]]:
@@ -249,8 +252,10 @@ def lottery_to_json(instance: Instance, lottery: Lottery) -> dict:
 
 def lottery_from_json(instance: Instance, data: object) -> Lottery:
     """Parse a lottery file.  Every probability must be positive, they
-    must sum to exactly 1, and no item may sit in two bundles of one part;
-    otherwise :class:`FormatError` is raised."""
+    must sum to exactly 1, no item may sit in two bundles of one part, no
+    chores part may leave a chore out, and the mixture must give every
+    agent its entitlement of every item; otherwise :class:`FormatError`
+    is raised."""
     if not isinstance(data, dict) or set(data) != {"parts"}:
         raise FormatError('lottery file must be an object with a "parts" array')
     if not isinstance(data["parts"], list):
@@ -267,8 +272,19 @@ def lottery_from_json(instance: Instance, data: object) -> Lottery:
         shared = [item for item in instance.items if held[item] > 1]
         if shared:
             raise FormatError(f"part {number} puts items in two bundles: {shared}")
+        if instance.kind == CHORES and len(held) < instance.m:
+            missing = [item for item in instance.items if item not in held]
+            raise FormatError(f"part {number} leaves chores unallocated: {missing}")
         entries.append((weight, allocation))
     total = sum((weight for weight, _ in entries), Fraction(0))
     if total != 1:
         raise FormatError(f"probabilities sum to {format_rational(total)}, not 1")
-    return Lottery(entries=tuple(entries))
+    lottery = Lottery(entries=tuple(entries))
+    for agent, row in zip(instance.agents, lottery.mixture(instance).shares):
+        for item, share in zip(instance.items, row):
+            if share != agent.entitlement:
+                raise FormatError(
+                    f"the mixture gives {agent.name!r} {format_rational(share)} of"
+                    f" {item!r}, not its entitlement {format_rational(agent.entitlement)}"
+                )
+    return lottery

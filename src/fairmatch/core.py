@@ -14,7 +14,8 @@ The paper's interval sets, used only by the brute-force checks, are in
 
 All arithmetic is exact: rationals (``fractions.Fraction``) become
 integers over one common denominator once, where they enter (entitlements
-in ``bobw``, costs in ``optimize.CostSpec.scaled``), and the matching
+in ``bobw``, costs in ``optimize.CostSpec.scaled`` or, from a cost file,
+as the integer pairs of :func:`rational_pair`), and the matching
 kernels take integers only.  Floating point is deliberately absent, since
 the matching thresholds and the lottery decomposition both break under
 one-ulp errors.
@@ -23,6 +24,7 @@ one-ulp errors.
 from __future__ import annotations
 
 import json
+import math
 import random
 import re
 from dataclasses import dataclass
@@ -47,11 +49,12 @@ class FormatError(ValueError):
     """Structurally malformed input file (unknown fields, bad types, ...)."""
 
 
-_RATIONAL = re.compile(r"-?[0-9]+(?:/[0-9]+)?")
+_RATIONAL = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?")
 
 
-def parse_rational(text: str) -> Fraction:
-    """Parse an exact rational from a ``"p/q"`` or integer string.
+def rational_pair(text: str) -> tuple[int, int]:
+    """Parse an exact rational from a ``"p/q"`` or integer string, as the
+    integers ``(p, q)`` in lowest terms with ``q >= 1``.
 
     Only ASCII digits, an optional leading ``-`` and one ``/`` are
     accepted: ``int`` alone would also take spaces, ``+``, ``_`` and
@@ -59,13 +62,23 @@ def parse_rational(text: str) -> Fraction:
     """
     if not isinstance(text, str):
         raise FormatError(f"expected rational string, got {text!r}")
-    if not _RATIONAL.fullmatch(text):
+    match = _RATIONAL.fullmatch(text)
+    if not match:
         raise FormatError(f"bad rational {text!r}: expected p/q or an integer")
-    num, _, den = text.partition("/")
     try:
-        return Fraction(int(num), int(den or 1))
-    except (ValueError, ZeroDivisionError) as exc:
+        p, q = int(match[1]), int(match[2] or 1)
+    except ValueError as exc:  # more digits than int() converts
         raise FormatError(f"bad rational {text!r}: {exc}") from exc
+    if not q:
+        raise FormatError(f"bad rational {text!r}: Fraction({p}, 0)")
+    g = math.gcd(p, q)
+    return p // g, q // g
+
+
+def parse_rational(text: str) -> Fraction:
+    """Parse an exact rational from a ``"p/q"`` or integer string (see
+    :func:`rational_pair`)."""
+    return Fraction(*rational_pair(text))
 
 
 def format_rational(value: Fraction) -> str:

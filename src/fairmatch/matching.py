@@ -8,7 +8,9 @@ This module bundles every matching primitive the library needs:
 * one exact minimum-cost matching kernel over integer cost rows: a
   maximum matching of the edges left tight by row reduction, then
   successive shortest paths from the rows it leaves free, with Dijkstra
-  over the sparse adjacency lists and integer potentials.  It serves
+  over the sparse adjacency lists and integer potentials.  Columns
+  chained into runs, each reaching the rows of the one before it at the
+  same cost, are listed once per row and reached lazily.  It serves
   both ``optimize``, whose costs arrive as integers over one common
   denominator, and rank-maximal matching (an edge of rank ``r`` weighs
   ``B**(w - r)``);
@@ -27,9 +29,9 @@ cross-check against the enumerated fair allocations, are in
 
 No floating point and no rationals anywhere: both kernels take
 integers only.  The callers clear the denominators once, where the
-rationals enter (the costs in ``optimize.CostSpec.scaled``, the
-entitlements in ``bobw``), and the decomposition subtracts integers over
-one given denominator until every row is empty.
+rationals enter (the costs in ``optimize.CostSpec`` and its file
+parser, the entitlements in ``bobw``), and the decomposition subtracts
+integers over one given denominator until every row is empty.
 """
 
 from __future__ import annotations
@@ -204,6 +206,7 @@ def assignment_min_cost(
     adjacency: Sequence[Sequence[int]],
     costs: Sequence[Sequence[int]],
     right_count: int,
+    after: Sequence[int] | None = None,
 ) -> Matching:
     """Min-cost matching saturating every left vertex, over integer costs.
 
@@ -212,12 +215,20 @@ def assignment_min_cost(
     left vertex, in left order; raises :class:`NoPerfectMatching` when
     some left vertex cannot be saturated.
 
+    ``after`` chains the right vertices into runs: ``after[j]`` is the
+    next vertex of ``j``'s run, or -1, and each vertex of a run reaches
+    every left vertex its predecessor reaches, at the same cost.  A row
+    lists, of each run it reaches, only the earliest vertex it reaches,
+    and reaches the rest of the run through ``after``.  With no
+    ``after``, every right vertex is its own run.
+
     The potentials start at ``u`` = row minimum and ``v`` = 0, so every
     reduced cost ``c - u[i] - v[j]`` is nonnegative and each row's
     cheapest edges are tight (reduced cost zero).  The tight start of
     Jonker and Volgenant ("A shortest augmenting path algorithm for dense
     and sparse linear assignment problems", Computing 38, 1987) begins
-    from a maximum matching (:func:`max_matching`) of the tight edges.
+    from a maximum matching (:func:`max_matching`) of the tight edges,
+    each tight entry expanded through its run, tight too while ``v`` = 0.
     The duals stay feasible and complementary: every matched edge is
     tight, every reduced cost is nonnegative, and every right vertex
     still has ``v`` = 0, the value an unmatched one must have.  So the
@@ -239,15 +250,33 @@ def assignment_min_cost(
     orders the same way; unlike a tuple, an integer is no container the
     garbage collector counts, so the pushes of a long search trigger no
     collections over the caller's objects.
+
+    A matched vertex ``j`` that settles at distance ``d`` also offers
+    ``k = after[j]`` the distance ``d + v[j] - v[k]``, the offer that
+    ``j``'s best row makes to ``k``.  This is exact.  If ``j`` is matched
+    to row ``r``, the edge ``(r, k)`` has the cost of the tight
+    ``(r, j)`` and a nonnegative reduced cost, so ``v[k] <= v[j]``; if
+    ``j`` is unmatched, ``v[j]`` = 0 >= ``v[k]``.  So ``v`` never grows
+    along a run, no row's offers shrink along it, and each vertex of a
+    run gets its best offer through the chain by the time it could
+    settle.  Every settled distance, and with it every potential update,
+    is then the one a search over the runs written out in full would
+    find; only the order of equal distances can differ.
     """
+    if after is None:
+        after = [-1] * right_count
     u = [min(row, default=0) for row in costs]
     v = [0] * right_count
     owner = [-1] * right_count
     mate = [-1] * len(adjacency)
-    tight = [
-        [j for j, c in zip(row, cost) if c == ui]
-        for row, cost, ui in zip(adjacency, costs, u)
-    ]
+    tight = []
+    for row, cost, ui in zip(adjacency, costs, u):
+        reach = []
+        for j in [j for j, c in zip(row, cost) if c == ui]:
+            while j >= 0:
+                reach.append(j)
+                j = after[j]
+        tight.append(reach)
     for i, j in max_matching(tight, right_count).pairs:
         mate[i] = j
         owner[j] = i
@@ -276,6 +305,14 @@ def assignment_min_cost(
             i = owner[j]
             if i < 0:
                 break
+            k = after[j]
+            if k >= 0:
+                nd = d + v[j] - v[k]
+                old = dist[k]
+                if old is None or nd < old:
+                    dist[k] = nd
+                    via[k] = via[j]
+                    heapq.heappush(heap, (nd << 1 | (owner[k] >= 0)) * right_count + k)
             # a settled vertex never improves (reduced costs are
             # nonnegative), so it needs no separate check here
             off = d - u[i]

@@ -11,7 +11,11 @@ agents, an edge of agent ``i`` to item ``j`` costs
 Chores: every chore is a row matched exactly once, and every slot of the
 plain graph is a unit column; as every chore is matched, the floors take
 one constant off every matching.  A matching of the plain graph that
-covers every chore is already fair.
+covers every chore is already fair.  The slots of one agent reach nested
+prefixes that shrink with the slot number, all at the agent's cost of
+the chore, so each chore row lists n entries, one per agent: the agent's
+last slot that reaches it.  The agent's earlier slots follow that slot
+as a run (``after[s] = s - 1``), which the kernel reaches lazily.
 
 Goods: the rows are the real slots of the plain graph, each reaching its
 best-first prefix, and the columns are the goods, each taken at most
@@ -34,7 +38,7 @@ from fractions import Fraction
 from typing import Iterator, Sequence
 
 from .allocgraph import slot_reaches
-from .core import GOODS, FormatError, Instance, IntegralAllocation, parse_rational
+from .core import GOODS, FormatError, Instance, IntegralAllocation, rational_pair
 from .matching import assignment_min_cost
 
 MINIMIZE = "minimize"
@@ -96,8 +100,11 @@ def optimize_allocation(
     # a good that no real slot takes goes to its cheapest agent, the lowest
     # index among equals; every chore is matched
     owner = [column.index(low) for column, low in zip(columns, floor)]
-    match = _match_goods if instance.kind == GOODS else _match_chores
-    for j, i in match(instance, table, floor):
+    if instance.kind == GOODS:
+        pairs = _match_goods(instance, table, floor)
+    else:
+        pairs = _match_chores(instance, columns, floor)
+    for j, i in pairs:
         owner[j] = i
     bundles: list[set[str]] = [set() for _ in range(instance.n)]
     for item, i in zip(instance.items, owner):
@@ -128,25 +135,32 @@ def _match_goods(
 
 
 def _match_chores(
-    instance: Instance, table: Sequence[Sequence[int]], floor: Sequence[int]
+    instance: Instance, columns: Sequence[Sequence[int]], floor: Sequence[int]
 ) -> Iterator[tuple[int, int]]:
     """(chore, agent) pairs of the cheapest matching that covers every chore.
 
-    The chores are the rows; the columns are the slots, agent-major, each
-    listed in the rows of the chores its prefix reaches.
+    ``columns[j]`` holds each agent's signed cost of chore ``j``.  The
+    chores are the kernel's rows and the slots, agent-major, its columns.
+    Each row lists, for every agent, the agent's last slot that reaches
+    the chore, and the agent's earlier slots follow it as one run.
     """
-    columns: list[list[int]] = [[] for _ in range(instance.m)]
+    heads: list[list[int]] = []
+    after: list[int] = []
     agent_of: list[int] = []
     for i, (best_first, reaches) in enumerate(slot_reaches(instance)):
-        for reach in reaches:
-            s = len(agent_of)
-            for j in best_first[:reach]:
-                columns[j].append(s)
-            agent_of.append(i)
-    costs = [
-        [table[agent_of[s]][j] - floor[j] for s in column] for j, column in enumerate(columns)
-    ]
-    for j, s in assignment_min_cost(columns, costs, len(agent_of)).pairs:
+        base = len(agent_of)
+        head = [0] * instance.m
+        # slot l is the last to reach the positions from the next slot's
+        # reach up to its own
+        for ell, (stop, start) in enumerate(zip(reaches, (*reaches[1:], 0))):
+            for j in best_first[start:stop]:
+                head[j] = base + ell
+        heads.append(head)
+        after.extend([-1, *range(base, base + len(reaches) - 1)])
+        agent_of.extend([i] * len(reaches))
+    rows = list(zip(*heads))
+    costs = [[c - low for c in column] for column, low in zip(columns, floor)]
+    for j, s in assignment_min_cost(rows, costs, len(agent_of), after).pairs:
         yield j, agent_of[s]
 
 
@@ -174,6 +188,7 @@ def parse_costs(text: str, instance: Instance, direction: str) -> CostSpec:
             raise FormatError(
                 f"cost row {i + 1} has {len(tokens)} entries, expected {instance.m}"
             )
-    return CostSpec.scaled(
-        [[parse_rational(token) for token in tokens] for tokens in rows], direction
-    )
+    pairs = [[rational_pair(token) for token in tokens] for tokens in rows]
+    denominator = math.lcm(*{q for row in pairs for _, q in row})
+    scaled = (tuple(p * (denominator // q) for p, q in row) for row in pairs)
+    return CostSpec(tuple(scaled), denominator, direction)

@@ -335,3 +335,23 @@ def test_lottery_file_with_an_item_in_two_bundles_is_rejected():
     data["parts"][0]["allocation"] = {"a1": ["b1"], "a2": ["b1", "b2"]}
     with pytest.raises(FormatError, match=r"two bundles: \['b1'\]"):
         lottery_from_json(inst, data)
+
+
+def test_lottery_file_with_a_chores_part_leaving_chores_out_is_rejected():
+    inst = generate_instance(2, 3, "chores", 1)
+    data = lottery_to_json(inst, uniform_lottery(inst))
+    lottery_from_json(inst, data)
+    data["parts"][0]["allocation"] = {"a1": [], "a2": []}
+    with pytest.raises(FormatError, match=r"part 1 leaves chores unallocated: \['b1', 'b2', 'b3'\]"):
+        lottery_from_json(inst, data)
+
+
+def test_lottery_file_whose_mixture_is_not_the_entitlements_is_rejected():
+    # each part is still a fair allocation and the probabilities still sum
+    # to 1, but swapping two of them gives a1 4/5 of b2 where a1 is
+    # entitled to 3/5
+    inst, data = two_goods_lottery_file()
+    first, second = data["parts"][:2]
+    first["probability"], second["probability"] = second["probability"], first["probability"]
+    with pytest.raises(FormatError, match="gives 'a1' 4/5 of 'b2', not its entitlement 3/5"):
+        lottery_from_json(inst, data)

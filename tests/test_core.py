@@ -1,5 +1,6 @@
 """Tests for the instance model, validation, intervals and generation."""
 
+import itertools
 import json
 import random
 from fractions import Fraction
@@ -286,7 +287,7 @@ def test_allocation_json_reads_an_agent_named_allocation():
 def _files(st):
     """An instance of either kind, n <= 4 and m <= 12, named with quotes,
     backslashes and non-ASCII text; an allocation of it (goods may be
-    left over); and a lottery over such allocations."""
+    left over); and a lottery whose mixture is the entitlements."""
     names = st.text(
         st.characters(blacklist_categories=("Cs",)) | st.sampled_from('"\\\'/é日 '),
         max_size=6,
@@ -311,9 +312,25 @@ def _files(st):
                 for i in range(inst.n)
             ))
 
-        parts = draw(st.lists(st.integers(1, 10**6), min_size=1, max_size=4))
-        lottery = Lottery(entries=tuple((Fraction(w, sum(parts)), allocation()) for w in parts))
-        return inst, allocation(), lottery
+        def lottery():
+            # each item cuts [0, 1] into its agents' entitlements, in an
+            # order of its own; each piece between two cuts of any item is
+            # one part, giving every item to the agent whose share covers it
+            orders = [draw(st.permutations(range(inst.n))) for _ in items]
+            cuts = {Fraction(0), Fraction(1)}
+            for order in orders:
+                cuts.update(itertools.accumulate(inst.entitlement(i) for i in order))
+            cuts = sorted(cuts)
+            entries = []
+            for low, high in zip(cuts, cuts[1:]):
+                bundles = [set() for _ in range(inst.n)]
+                for item, order in zip(items, orders):
+                    ends = itertools.accumulate(inst.entitlement(i) for i in order)
+                    bundles[next(i for i, end in zip(order, ends) if end > low)].add(item)
+                entries.append((high - low, IntegralAllocation(bundles=tuple(map(frozenset, bundles)))))
+            return Lottery(entries=tuple(entries))
+
+        return inst, allocation(), lottery()
 
     return files()
 

@@ -28,6 +28,7 @@ from fairmatch.matching import (
     NoPerfectMatching,
     NotDoublyStochastic,
     NotRankMaximal,
+    assignment_min_cost,
     bvn_decompose,
     extract_picking_sequence,
     max_matching,
@@ -588,6 +589,57 @@ def test_tie_heavy_assignment_agrees_with_networkx(monkeypatch):
         assert sum(costs[pair] for pair in high.pairs) == top - left * 10**4, trial
     assert solved >= 16
     assert sum(covered) / len(covered) > 0.5
+
+
+def test_runs_reached_through_after_cost_what_the_expanded_rows_cost():
+    # columns chained into runs in shuffled order, some of length 1; each
+    # row reaches a suffix of a run at one cost in 0..3 and lists only its
+    # first column, and some rows repeat, so equal offers come from
+    # different rows.  The same rows with every run written out in full
+    # and no after must give the same total cost, or both none
+    rng = random.Random(71)
+    solved = 0
+    for trial in range(60):
+        left = rng.randint(8, 30)
+        right = left + rng.randint(0, 6)
+        order = list(range(right))
+        rng.shuffle(order)
+        runs, after = [], [-1] * right
+        while order:
+            size = rng.randint(1, 5)
+            run, order = order[:size], order[size:]
+            runs.append(run)
+            for j, k in zip(run, run[1:]):
+                after[j] = k
+        heads, costs, full, full_costs = [], [], [], []
+        while len(heads) < left:
+            row, cost, wide, wide_cost = [], [], [], []
+            for run in rng.sample(runs, rng.randint(len(runs) // 3, len(runs))):
+                start, c = rng.randrange(len(run)), rng.randint(0, 3)
+                row.append(run[start])
+                cost.append(c)
+                wide += run[start:]
+                wide_cost += [c] * (len(run) - start)
+            for _ in range(min(rng.choice((1, 1, 2, 3)), left - len(heads))):
+                heads.append(row)
+                costs.append(cost)
+                full.append(wide)
+                full_costs.append(wide_cost)
+        try:
+            expected = assignment_min_cost(full, full_costs, right)
+        except NoPerfectMatching:
+            with pytest.raises(NoPerfectMatching):
+                assignment_min_cost(heads, costs, right, after)
+            continue
+        solved += 1
+        match = assignment_min_cost(heads, costs, right, after)
+        assert [i for i, _ in match.pairs] == list(range(left)), trial
+        assert len({j for _, j in match.pairs}) == left, trial
+        assert all(j in full[i] for i, j in match.pairs), trial
+        total = sum(full_costs[i][full[i].index(j)] for i, j in match.pairs)
+        best = sum(full_costs[i][full[i].index(j)] for i, j in expected.pairs)
+        assert total == best, trial
+    assert solved >= 20
 
 
 def test_tight_start_leaves_a_row_that_reaches_only_full_columns():

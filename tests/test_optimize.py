@@ -205,9 +205,9 @@ def record_kernel(monkeypatch):
     """Record each call of the kernel from ``optimize`` with its result."""
     calls = []
 
-    def record(adjacency, costs, right_count):
-        match = assignment_min_cost(adjacency, costs, right_count)
-        calls.append(([list(row) for row in adjacency], right_count, match))
+    def record(adjacency, costs, right_count, after=None):
+        match = assignment_min_cost(adjacency, costs, right_count, after)
+        calls.append(([list(row) for row in adjacency], right_count, after, match))
         return match
 
     monkeypatch.setattr(fairmatch.optimize, "assignment_min_cost", record)
@@ -216,10 +216,11 @@ def record_kernel(monkeypatch):
 
 @pytest.mark.parametrize("kind", ["goods", "chores"])
 def test_kernel_columns_are_the_transposed_plain_graph(kind, monkeypatch):
-    # chores: the item rows optimize hands the kernel list, for each chore,
-    # the plain graph's slots that reach it in slot order.  goods: the
-    # kernel's rows are the plain graph's slot rows, in slot order, and its
-    # columns the goods.  The graph stays the reference
+    # chores: each item row optimize hands the kernel lists one slot per
+    # agent, and those slots expanded through their runs are the plain
+    # graph's slots that reach the chore.  goods: the kernel's rows are the
+    # plain graph's slot rows, in slot order, its columns the goods, and
+    # every column its own run.  The graph stays the reference
     calls = record_kernel(monkeypatch)
     for n, m, seed in SWEEP:
         inst = generate_instance(n, m, kind, seed)
@@ -228,19 +229,28 @@ def test_kernel_columns_are_the_transposed_plain_graph(kind, monkeypatch):
         allocation, _ = optimize_allocation(inst, CostSpec.scaled(values))
         assert check_allocation(inst, allocation).passes
         graph = build_allocation_graph(inst)
-        (adjacency, right_count, _), = calls
+        (adjacency, right_count, after, _), = calls
         calls.clear()
         if kind == "goods":
             rows = [set(row) for row in graph.adjacency]
             assert [set(row) for row in adjacency] == rows, (n, m, seed)
             assert right_count == m, (n, m, seed)
+            assert after is None, (n, m, seed)
             continue
-        columns = [[] for _ in range(m)]
+        columns = [set() for _ in range(m)]
         for s, row in enumerate(graph.adjacency):
             for j in row:
-                columns[j].append(s)
-        assert adjacency == columns, (n, m, seed)
+                columns[j].add(s)
         assert right_count == graph.left_count, (n, m, seed)
+        assert len(adjacency) == m, (n, m, seed)
+        for j, heads in enumerate(adjacency):
+            assert len(heads) == n, (n, m, seed, j)
+            reached = set()
+            for s in heads:
+                while s >= 0:
+                    reached.add(s)
+                    s = after[s]
+            assert reached == columns[j], (n, m, seed, j)
 
 
 def test_goods_left_out_of_the_slots_go_to_a_cheapest_agent(monkeypatch):
@@ -254,7 +264,7 @@ def test_goods_left_out_of_the_slots_go_to_a_cheapest_agent(monkeypatch):
         for direction in (MINIMIZE, MAXIMIZE):
             spec = CostSpec.scaled(values, direction)
             allocation, _ = optimize_allocation(inst, spec)
-            (_, _, match), = calls
+            (_, _, _, match), = calls
             calls.clear()
             sign = -1 if direction == MAXIMIZE else 1
             owners = allocation.owner_map()
@@ -278,13 +288,15 @@ def benchmark_costs(n, m):
         ("goods", MAXIMIZE, Fraction(18736)),
         ("goods", MINIMIZE, Fraction(12, 5)),
         ("chores", MINIMIZE, Fraction(26, 15)),
+        ("chores", MAXIMIZE, Fraction(37429, 2)),
     ],
 )
 def test_large_optima_are_pinned(kind, direction, optimum):
     # goods maximize and chores minimize equal the optimum that the MILP
-    # and its LP relaxation in perfbench/exact_opt.py found; goods
-    # minimize, not solved that way, is the value the formulation with
-    # one spare column per agent gave
+    # and its LP relaxation in perfbench/exact_opt.py found, and chores
+    # maximize the optimum of that LP relaxation; goods minimize, not
+    # solved that way, is the value the formulation with one spare column
+    # per agent gave
     inst = generate_instance(100, 1000, kind, 43)
     spec = CostSpec.scaled(benchmark_costs(100, 1000), direction)
     allocation, objective = optimize_allocation(inst, spec)
