@@ -10,6 +10,11 @@ is one of them.  The library takes a serial dictatorship: each slot,
 narrowest first, takes its agent's best item still free, so its picks
 already are the sequence.  The allocation is then explainable as the
 outcome of a simple turn order.
+
+Below, only eve is owed a slot, so she picks first.  The three goods
+left over then go one each to the agents furthest below their share of
+the four goods.  Each of them is one good short, so they go in index
+order: ada, ben, then eve.
 """
 
 from fractions import Fraction

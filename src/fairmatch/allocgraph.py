@@ -41,11 +41,7 @@ from dataclasses import dataclass
 from operator import itemgetter
 from typing import Iterator
 
-from .core import CHORES, Instance
-
-
-class GraphInternalError(AssertionError):
-    """Graph construction violated one of its own invariants."""
+from .core import CHORES, Instance, InternalError
 
 
 @dataclass(frozen=True)
@@ -260,7 +256,7 @@ def extend_allocation_graph(graph: AllocationGraph, instance: Instance) -> Alloc
     if instance.kind == CHORES:
         q = graph.left_count - m
         if q < 0:
-            raise GraphInternalError("chores graph has fewer slots than chores")
+            raise InternalError("chores graph has fewer slots than chores")
         items = graph.right_labels + tuple(f"~d{k + 1}" for k in range(q))
         dummy_indices = tuple(range(m, m + q))
         dummy_ranks = tuple(range(m + 1, m + q + 1))
@@ -278,10 +274,10 @@ def extend_allocation_graph(graph: AllocationGraph, instance: Instance) -> Alloc
     else:
         q = spare_slot_count(instance)
         if q < 0:
-            raise GraphInternalError("goods graph has more slots than goods")
+            raise InternalError("goods graph has more slots than goods")
         t = graph.left_count + instance.n * q - m
         if t < 0:
-            raise GraphInternalError("extended goods graph is not balanceable")
+            raise InternalError("extended goods graph is not balanceable")
         items = graph.right_labels + tuple(f"~d{k + 1}" for k in range(t))
         dummy_ranks = tuple(range(m + 1, m + t + 1))
         slots = list(graph.slots)
@@ -303,7 +299,7 @@ def extend_allocation_graph(graph: AllocationGraph, instance: Instance) -> Alloc
             spare_per_agent=q,
         )
     if extended.left_count != extended.right_count:
-        raise GraphInternalError(
+        raise InternalError(
             f"extended graph is unbalanced: {extended.left_count} slots vs "
             f"{extended.right_count} items"
         )

@@ -35,15 +35,12 @@ from .core import (
     FractionalAllocation,
     Instance,
     IntegralAllocation,
+    InternalError,
     allocation_from_json,
     format_rational,
     parse_rational,
 )
 from .matching import bvn_decompose
-
-
-class BobwInternalError(AssertionError):
-    """A capacity or exactness invariant of the construction failed."""
 
 
 @dataclass(frozen=True)
@@ -112,10 +109,10 @@ def _interval_rows(instance: Instance, denom: int) -> Iterator[list[dict[int, in
                 # index of the item in best-first order
                 k = m - pos if chores else pos - 1
                 if k >= reach:
-                    raise BobwInternalError(f"weight placed beyond a slot's reach ({agent.name})")
+                    raise InternalError(f"weight placed beyond a slot's reach ({agent.name})")
                 row[best_first[k]] = (min(pos * a, hi) - max(item_lo, lo)) * scale
         if not chores and any(sum(row.values()) != denom for row in rows[:-1]):
-            raise BobwInternalError("a real goods slot was left unsaturated")
+            raise InternalError("a real goods slot was left unsaturated")
         yield rows
 
 
@@ -131,10 +128,10 @@ def _fill_northwest(rows: list[dict[int, int]], first_dummy: int, denom: int) ->
     for row in rows:
         slack = denom - sum(row.values())
         if slack < 0:
-            raise BobwInternalError("a slot absorbed more than one unit")
+            raise InternalError("a slot absorbed more than one unit")
         while slack:
             if dummy >= len(rows):
-                raise BobwInternalError("ran out of dummy items during the fill")
+                raise InternalError("ran out of dummy items during the fill")
             w = min(slack, room)
             row[dummy] = w
             slack -= w
@@ -146,7 +143,7 @@ def _fill_northwest(rows: list[dict[int, int]], first_dummy: int, denom: int) ->
         for j, w in row.items():
             column_sums[j] += w
     if any(total != denom for total in column_sums):
-        raise BobwInternalError("fractional matching is not doubly stochastic")
+        raise InternalError("fractional matching is not doubly stochastic")
 
 
 def _common_denominator(instance: Instance) -> int:
@@ -221,7 +218,7 @@ def uniform_lottery(instance: Instance) -> Lottery:
         key = tuple(frozenset(b) for b in bundles)
         merged[key] = merged.get(key, 0) + weight
     if sum(merged.values()) != denom:
-        raise BobwInternalError("lottery weights do not sum to one")
+        raise InternalError("lottery weights do not sum to one")
     return Lottery(
         entries=tuple(
             (Fraction(weight, denom), IntegralAllocation(bundles=key))

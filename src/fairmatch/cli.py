@@ -17,12 +17,13 @@ from itertools import islice
 from pathlib import Path
 from typing import Iterable
 
-from . import allocgraph, bobw, fairness, matching, optimize, oracle
+from . import bobw, fairness, matching, optimize, oracle
 from .allocgraph import build_allocation_graph, extend_allocation_graph, graph_to_dot, graph_to_text
 from .core import (
     FormatError,
     Instance,
     InstanceError,
+    InternalError,
     allocation_from_json,
     allocation_to_json,
     dump_instance,
@@ -216,13 +217,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 # Failures no input can cause: valid instances always have the matchings
 # and decompositions the solvers look for.
-INTERNAL_ERRORS = (
-    allocgraph.GraphInternalError,
-    matching.MatchingInternalError,
-    matching.NoPerfectMatching,
-    matching.NotDoublyStochastic,
-    bobw.BobwInternalError,
-)
+INTERNAL_ERRORS = (InternalError, matching.NoPerfectMatching, matching.NotDoublyStochastic)
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -10,15 +10,18 @@ kind:
   toward the chores the agent minds least).
 
 The paper's interval sets, used only by the brute-force checks, are in
-:mod:`fairmatch.oracle`.
+:mod:`fairmatch.oracle`.  The serial dictatorship, ``optimize`` and the
+oracle read their allocations back through :func:`allocation_from_owners`,
+and every broken invariant of a construction raises
+:class:`InternalError`.
 
 All arithmetic is exact: rationals (``fractions.Fraction``) become
 integers over one common denominator once, where they enter (entitlements
-in ``bobw``, costs in ``optimize.CostSpec.scaled`` or, from a cost file,
-as the integer pairs of :func:`rational_pair`), and the matching
-kernels take integers only.  Floating point is deliberately absent, since
-the matching thresholds and the lottery decomposition both break under
-one-ulp errors.
+in ``bobw``; costs, as the integer pairs of :func:`rational_pair` from a
+cost file or from ``optimize.CostSpec.scaled``, in one scaling step), and
+the matching kernels take integers only.  Floating point is deliberately
+absent, since the matching thresholds and the lottery decomposition both
+break under one-ulp errors.
 """
 
 from __future__ import annotations
@@ -29,7 +32,6 @@ import random
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 from typing import Sequence
 
 GOODS = "goods"
@@ -47,6 +49,10 @@ class InstanceError(ValueError):
 
 class FormatError(ValueError):
     """Structurally malformed input file (unknown fields, bad types, ...)."""
+
+
+class InternalError(AssertionError):
+    """An invariant the construction guarantees failed: a bug, not bad input."""
 
 
 _RATIONAL = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?")
@@ -113,16 +119,9 @@ class Instance:
     def m(self) -> int:
         return len(self.items)
 
-    @cached_property
-    def _positions(self) -> tuple[dict[str, int], ...]:
-        return tuple(
-            {item: pos for pos, item in enumerate(agent.ranking, start=1)}
-            for agent in self.agents
-        )
-
     def position(self, agent: int, item: str) -> int:
         """1-based position of ``item`` in agent's ranking (semantics per kind)."""
-        return self._positions[agent][item]
+        return self.agents[agent].ranking.index(item) + 1
 
     def entitlement(self, agent: int) -> Fraction:
         return self.agents[agent].entitlement
@@ -146,6 +145,15 @@ class IntegralAllocation:
             for item in bundle:
                 owners[item] = i
         return owners
+
+
+def allocation_from_owners(instance: Instance, owner: Sequence[int]) -> IntegralAllocation:
+    """Bundle item ``j`` with agent ``owner[j]``; an owner of -1 leaves it out."""
+    bundles: list[list[str]] = [[] for _ in range(instance.n)]
+    for item, i in zip(instance.items, owner):
+        if i >= 0:
+            bundles[i].append(item)
+    return IntegralAllocation(bundles=tuple(map(frozenset, bundles)))
 
 
 @dataclass(frozen=True)

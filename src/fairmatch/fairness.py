@@ -8,10 +8,12 @@ consistent with the agent's ranking:
   ``k <= floor(m*alpha) + 1`` and ``r_l >= ceil((l-1)/alpha)`` for all l;
 * goods: ``k >= ceil(m*alpha) - 1`` and ``r_l <= floor(l/alpha) + 1``.
 
-The bounds are checked in integers.  Every failed check carries a
-step-valuation witness under which the bundle provably violates the
-cardinal definition, so negative verdicts can be re-checked independently
-via :func:`fairmatch.oracle.check_wprop1_cardinal`.  The module also holds
+The bounds are checked in integers, on positions read from one pass over
+the ranking; :func:`check_allocation` checks each bundle the same way.
+Every failed check carries a step-valuation witness under which the
+bundle provably violates the cardinal definition, so negative verdicts
+can be re-checked independently via
+:func:`fairmatch.oracle.check_wprop1_cardinal`.  The module also holds
 the greedy picking-sequence simulator and the text report of ``verify``.
 The brute-force checks, in exact rationals, are in :mod:`fairmatch.oracle`.
 """
@@ -57,19 +59,21 @@ class AllocationReport:
 def check_bundle(instance: Instance, agent: int, bundle: Iterable[str]) -> BundleReport:
     """Exact bundle check with a step-valuation witness on failure.
 
+    The in-bundle positions come sorted from one pass over the agent's
+    ranking; an item the ranking lacks raises :class:`MalformedAllocation`.
     The count-bound witness values every item at 1; a rank-bound witness at
     level ``l`` values exactly the ranking prefix that the offending item
     fails to reach.
     """
-    positions = sorted(instance.position(agent, item) for item in bundle)
-    return _check_positions(instance, agent, positions)
-
-
-def _check_positions(instance: Instance, agent: int, positions: list[int]) -> BundleReport:
+    held = set(bundle)
+    ranking = instance.agents[agent].ranking
+    m = instance.m
+    positions = list(itertools.compress(range(1, m + 1), map(held.__contains__, ranking)))
+    if len(positions) != len(held):
+        raise MalformedAllocation(f"unknown items {sorted(held.difference(ranking))}")
     # the bounds of the module docstring in integers, for alpha = a/b
     alpha = instance.entitlement(agent)
     a, b = alpha.numerator, alpha.denominator
-    m = instance.m
     chores = instance.kind == CHORES
     if chores:
         count_fails = len(positions) > m * a // b + 1
@@ -103,13 +107,11 @@ def _check_positions(instance: Instance, agent: int, positions: list[int]) -> Bu
 def check_allocation(
     instance: Instance, allocation: IntegralAllocation
 ) -> AllocationReport:
-    """Check every bundle; the allocation passes iff all bundles do.
+    """Check every bundle with :func:`check_bundle`; pass iff all bundles do.
 
     Raises :class:`MalformedAllocation` when bundles overlap, mention
     unknown items, have the wrong agent count, or (for chores) fail to
-    cover every item.  Goods allocations may be partial.  Each agent's
-    in-bundle positions come sorted from one pass over its ranking, and
-    the verdicts and witnesses are those of :func:`check_bundle`.
+    cover every item.  Goods allocations may be partial.
     """
     if len(allocation.bundles) != instance.n:
         raise MalformedAllocation(
@@ -127,14 +129,8 @@ def check_allocation(
     if instance.kind == CHORES and seen != item_set:
         missing = sorted(item_set - seen)
         raise MalformedAllocation(f"chores left unallocated: {missing}")
-    positions = range(1, instance.m + 1)
     reports = tuple(
-        _check_positions(
-            instance,
-            i,
-            list(itertools.compress(positions, map(bundle.__contains__, agent.ranking))),
-        )
-        for i, (agent, bundle) in enumerate(zip(instance.agents, allocation.bundles))
+        check_bundle(instance, i, bundle) for i, bundle in enumerate(allocation.bundles)
     )
     return AllocationReport(reports=reports, passes=all(r.passes for r in reports))
 

@@ -37,12 +37,13 @@ integers over one given denominator until every row is empty.
 from __future__ import annotations
 
 import heapq
+import math
 from dataclasses import dataclass
 from itertools import chain
 from typing import Iterable, Mapping, Sequence
 
-from .allocgraph import AllocationGraph, BipartiteGraph, slot_reaches, spare_slot_count
-from .core import GOODS, Instance, IntegralAllocation
+from .allocgraph import AllocationGraph, BipartiteGraph, slot_reaches
+from .core import GOODS, Instance, IntegralAllocation, InternalError, allocation_from_owners
 
 
 class NoPerfectMatching(ValueError):
@@ -55,10 +56,6 @@ class NotRankMaximal(ValueError):
 
 class NotDoublyStochastic(ValueError):
     """Matrix rows/columns do not all sum to exactly one."""
-
-
-class MatchingInternalError(AssertionError):
-    """An invariant the theory guarantees failed; indicates a construction bug."""
 
 
 @dataclass(frozen=True)
@@ -417,7 +414,7 @@ def normalize_slot_order(matching: Matching, graph: AllocationGraph) -> Matching
         dummy_items = sorted(b for _, b in dummy)
         for s, b in zip(real_slots, real_items):
             if not graph.has_edge(s, b):
-                raise MatchingInternalError(
+                raise InternalError(
                     f"normalization produced a missing edge ({s}, {b})"
                 )
             new_pairs.append((s, b))
@@ -544,7 +541,7 @@ def bvn_decompose(
     while remaining > 0:
         match = max_matching(work, p, start)
         if len(match) != p:
-            raise MatchingInternalError(
+            raise InternalError(
                 "doubly stochastic support lost its perfect matching"
             )
         perm = tuple([j for _, j in match.pairs])
@@ -559,12 +556,12 @@ def bvn_decompose(
                 start[i] = -1
         parts.append((weight, perm))
         if len(parts) > bound:
-            raise MatchingInternalError(
+            raise InternalError(
                 f"decomposition exceeded {bound} parts for p = {p}"
             )
         remaining -= weight
     if any(work):
-        raise MatchingInternalError("decomposition left a nonzero residual")
+        raise InternalError("decomposition left a nonzero residual")
     return parts
 
 
@@ -574,15 +571,18 @@ def bvn_decompose(
 
 def _serial_dictatorship(
     instance: Instance,
-) -> tuple[list[tuple[int, int, int]], list[int]]:
+) -> tuple[list[tuple[int, int]], list[int], list[int]]:
     """Each slot, narrowest first, takes its agent's best item still free.
 
     The slots of :func:`~fairmatch.allocgraph.slot_reaches`, numbered as in
     the plain allocation graph, go in a stable sort on the reach, so ties
-    stay agent-major.  For goods, each agent's
-    :func:`~fairmatch.allocgraph.spare_slot_count` spare slots follow,
-    agent-major, kept as a count; each reaches every good.  One forward
-    pointer per agent finds the first free item of a slot's reach: an
+    stay agent-major.  For goods, one spare slot per agent follows, each
+    reaching every good, by the gap ``g_i = ceil(m*alpha_i) - m*alpha_i``,
+    smallest first, ties by index.  Every plain slot picks, so agent ``i``
+    then holds ``ceil(m*alpha_i) - 1`` goods, ``1 - g_i`` below
+    ``m*alpha_i``: the agents furthest below their share pick first, and
+    the ``n - sum(g_i) <= n`` leftover goods need no agent twice.  One
+    forward pointer per agent finds the first free item of a slot's reach: an
     agent's slots come in order of growing reach, so every item its
     pointer has passed is taken.  A slot that finds nothing is matched to
     a dummy, and the pass stops once every item is taken.  So the picks in
@@ -592,9 +592,9 @@ def _serial_dictatorship(
     At most ``r - 1`` goods slots reach ``r`` goods or fewer, and at most
     ``r + d - 1`` chores slots reach ``r`` chores or fewer (``d`` dummy
     chores), so a chore left over, or a plain goods slot that picks
-    nothing, raises :class:`MatchingInternalError`.  Returns the picks in
-    order as ``(slot, agent, item)``, with slot ``-1`` for a spare slot,
-    and the plain slots narrowest first.
+    nothing, raises :class:`~fairmatch.core.InternalError`.  Returns the
+    picks in order as ``(slot, agent)``, with slot ``-1`` for a spare
+    slot, the plain slots narrowest first, and the owner of each item.
     """
     m = instance.m
     best_first: list[tuple[int, ...]] = []
@@ -606,35 +606,34 @@ def _serial_dictatorship(
         agent += [i] * len(reaches)
     order = sorted(range(len(reach)), key=reach.__getitem__)
     goods = instance.kind == GOODS
-    spare = spare_slot_count(instance) if goods else 0
-    spares = ((-1, m, i) for i in range(instance.n) for _ in range(spare))
+    spares = []
+    if goods:
+        # g_i = ((-m*a) mod b) / b for alpha_i = a/b, as an integer over
+        # the common denominator: a Fraction key made the call 80% slower
+        ratios = [x.entitlement.as_integer_ratio() for x in instance.agents]
+        lcm = math.lcm(*(b for _, b in ratios))
+        gap = [-m * a % b * (lcm // b) for a, b in ratios]
+        spares = [(-1, m, i) for i in sorted(range(instance.n), key=gap.__getitem__)]
     plain = zip(order, map(reach.__getitem__, order), map(agent.__getitem__, order))
-    taken = [False] * m
+    owner = [-1] * m
     point = [0] * instance.n
-    picks: list[tuple[int, int, int]] = []
+    picks: list[tuple[int, int]] = []
     for s, r, i in chain(plain, spares):
         if len(picks) == m:
             break
         row, k = best_first[i], point[i]
-        while k < r and taken[row[k]]:
+        while k < r and owner[row[k]] >= 0:
             k += 1
         if k < r:
-            taken[row[k]] = True
-            picks.append((s, i, row[k]))
+            owner[row[k]] = i
+            picks.append((s, i))
             k += 1
         elif goods and s >= 0:
-            raise MatchingInternalError(f"goods slot {s} reaches no free good")
+            raise InternalError(f"goods slot {s} reaches no free good")
         point[i] = k
     if len(picks) != m:
-        raise MatchingInternalError(f"{m - len(picks)} of {m} items left unassigned")
-    return picks, order
-
-
-def _bundles(instance: Instance, picks: list[tuple[int, int, int]]) -> IntegralAllocation:
-    bundles: list[set[str]] = [set() for _ in range(instance.n)]
-    for _, i, j in picks:
-        bundles[i].add(instance.items[j])
-    return IntegralAllocation(bundles=tuple(frozenset(b) for b in bundles))
+        raise InternalError(f"{m - len(picks)} of {m} items left unassigned")
+    return picks, order, owner
 
 
 def solve_with_sequence(
@@ -650,14 +649,14 @@ def solve_with_sequence(
     (:func:`fairmatch.fairness.simulate_picking_sequence`) rebuilds the
     returned allocation item for item.
     """
-    picks, order = _serial_dictatorship(instance)
-    picked = [s for s, _, _ in picks if s >= 0]
+    picks, order, owner = _serial_dictatorship(instance)
+    picked = [s for s, _ in picks if s >= 0]
     taken = set(picked)
     sequence = PickingSequence(
-        sequence=tuple(i for _, i, _ in picks),
+        sequence=tuple(i for _, i in picks),
         slots=tuple(picked + [s for s in order if s not in taken]),
     )
-    return _bundles(instance, picks), sequence
+    return allocation_from_owners(instance, owner), sequence
 
 
 def perfect_allocation(instance: Instance) -> IntegralAllocation:
@@ -667,9 +666,9 @@ def perfect_allocation(instance: Instance) -> IntegralAllocation:
     its reach, a prefix of the agent's items best first, with no graph
     built.  Chores: every chore is taken, and the dummy-matched slots
     hold nothing.  Goods: every slot takes a good, and the leftover goods
-    go to the spare slots of the extended graph, agent-major.  They number
-    exactly the spare slots per agent, so agent 0 takes them all.  Any
-    completion of a fair partial allocation stays fair.
+    go one each to the agents furthest below ``m*alpha``, through one
+    spare slot of the extended graph per agent.  Any completion of a fair
+    partial allocation stays fair.
     """
-    picks, _ = _serial_dictatorship(instance)
-    return _bundles(instance, picks)
+    _, _, owner = _serial_dictatorship(instance)
+    return allocation_from_owners(instance, owner)

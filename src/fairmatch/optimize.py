@@ -38,7 +38,14 @@ from fractions import Fraction
 from typing import Iterator, Sequence
 
 from .allocgraph import slot_reaches
-from .core import GOODS, FormatError, Instance, IntegralAllocation, rational_pair
+from .core import (
+    GOODS,
+    FormatError,
+    Instance,
+    IntegralAllocation,
+    allocation_from_owners,
+    rational_pair,
+)
 from .matching import assignment_min_cost
 
 MINIMIZE = "minimize"
@@ -68,9 +75,14 @@ class CostSpec:
     ) -> CostSpec:
         """Scale rational rows once by the least common multiple of their
         denominators, so every entry becomes an integer over it."""
-        denominator = math.lcm(*(x.denominator for row in rows for x in row))
-        scaled = (tuple(x.numerator * (denominator // x.denominator) for x in row) for row in rows)
-        return cls(tuple(scaled), denominator, direction)
+        return _scaled([[(x.numerator, x.denominator) for x in row] for row in rows], direction)
+
+
+def _scaled(pairs: list[list[tuple[int, int]]], direction: str) -> CostSpec:
+    # rows of rationals p/q, as (p, q) pairs, over their least common denominator
+    denominator = math.lcm(*{q for row in pairs for _, q in row})
+    scaled = (tuple(p * (denominator // q) for p, q in row) for row in pairs)
+    return CostSpec(tuple(scaled), denominator, direction)
 
 
 def optimize_allocation(
@@ -106,12 +118,8 @@ def optimize_allocation(
         pairs = _match_chores(instance, columns, floor)
     for j, i in pairs:
         owner[j] = i
-    bundles: list[set[str]] = [set() for _ in range(instance.n)]
-    for item, i in zip(instance.items, owner):
-        bundles[i].add(item)
-    allocation = IntegralAllocation(bundles=tuple(frozenset(b) for b in bundles))
     total = sum(rows[i][j] for j, i in enumerate(owner))
-    return allocation, Fraction(total, spec.denominator)
+    return allocation_from_owners(instance, owner), Fraction(total, spec.denominator)
 
 
 def _match_goods(
@@ -188,7 +196,4 @@ def parse_costs(text: str, instance: Instance, direction: str) -> CostSpec:
             raise FormatError(
                 f"cost row {i + 1} has {len(tokens)} entries, expected {instance.m}"
             )
-    pairs = [[rational_pair(token) for token in tokens] for tokens in rows]
-    denominator = math.lcm(*{q for row in pairs for _, q in row})
-    scaled = (tuple(p * (denominator // q) for p, q in row) for row in pairs)
-    return CostSpec(tuple(scaled), denominator, direction)
+    return _scaled([[rational_pair(token) for token in tokens] for tokens in rows], direction)

@@ -30,6 +30,7 @@ from .core import (
     Instance,
     IntegralAllocation,
     StepValuation,
+    allocation_from_owners,
 )
 from .fairness import MalformedAllocation, check_bundle
 from .matching import Matching
@@ -167,14 +168,6 @@ def check_wsdef_fractional(
     return True
 
 
-def _allocation(instance: Instance, owners: Iterable[tuple[int, int]]) -> IntegralAllocation:
-    # bundle each (agent, item index) pair
-    bundles: list[set[str]] = [set() for _ in range(instance.n)]
-    for agent, j in owners:
-        bundles[agent].add(instance.items[j])
-    return IntegralAllocation(bundles=tuple(frozenset(b) for b in bundles))
-
-
 def enumerate_wsdprop1(
     instance: Instance, cap: int = 10**6
 ) -> list[IntegralAllocation]:
@@ -185,7 +178,7 @@ def enumerate_wsdprop1(
         raise InstanceTooLarge(f"{n}^{m} allocations exceed cap {cap}")
     found = []
     for assignment in itertools.product(range(n), repeat=m):
-        allocation = _allocation(instance, zip(assignment, range(m)))
+        allocation = allocation_from_owners(instance, assignment)
         if all(
             check_bundle(instance, i, allocation.bundles[i]).passes for i in range(n)
         ):
@@ -197,10 +190,11 @@ def allocation_from_matching(
     matching: Matching, graph: AllocationGraph, instance: Instance
 ) -> IntegralAllocation:
     """Bundle each real matched item with the agent owning its slot."""
-    return _allocation(
-        instance,
-        ((graph.slots[s].agent, j) for s, j in matching.pairs if not graph.is_dummy_item(j)),
-    )
+    owner = [-1] * instance.m
+    for s, j in matching.pairs:
+        if not graph.is_dummy_item(j):
+            owner[j] = graph.slots[s].agent
+    return allocation_from_owners(instance, owner)
 
 
 def enumerate_side_perfect_matchings(

@@ -110,6 +110,12 @@ def test_empty_bundle_rules():
     assert check_bundle(goods_tiny, 0, set()).passes
 
 
+def test_check_bundle_rejects_an_unknown_item():
+    for kind in ("goods", "chores"):
+        with pytest.raises(MalformedAllocation, match="zz"):
+            check_bundle(identical(kind, 2, 3), 0, {"b1", "zz"})
+
+
 # ---------------------------------------------------------------------------
 # allocation checks and fixtures
 # ---------------------------------------------------------------------------

@@ -14,7 +14,6 @@ from fairmatch.allocgraph import (
     build_allocation_graph,
     extend_allocation_graph,
     slot_reaches,
-    spare_slot_count,
 )
 from fairmatch.core import (
     IntegralAllocation,
@@ -1176,6 +1175,22 @@ def test_perfect_allocation_goods_top_items_reachable():
         assert bundle & top
 
 
+def test_leftover_good_goes_to_the_agent_furthest_below_its_share():
+    # a1 (2/3 of 2 goods) has one slot and takes b1; a2 (1/3) has none.
+    # The leftover b2 leaves a1 at 1 of 4/3 and a2 at 0 of 2/3, so a2
+    # is further below its share and takes it
+    inst = make(
+        "goods",
+        ["b1", "b2"],
+        [("a1", Fraction(2, 3), ["b1", "b2"]), ("a2", Fraction(1, 3), ["b1", "b2"])],
+    )
+    expected = (frozenset({"b1"}), frozenset({"b2"}))
+    assert perfect_allocation(inst).bundles == expected
+    allocation, sequence = solve_with_sequence(inst)
+    assert allocation.bundles == expected
+    assert sequence.sequence == (0, 1)
+
+
 def test_perfect_allocation_random_instances_verify():
     for seed in range(50):
         for kind in ("chores", "goods"):
@@ -1194,8 +1209,9 @@ def graph_rows_allocation(inst):
 
     Each row goes over best first, as its slot's prefix of its agent's
     preferences, in a stable sort on the width, so ties stay in slot
-    order.  Goods leftovers go, in item order, to the spare slots of the
-    extended graph, agent-major, q per agent.
+    order.  Goods leftovers go one at a time to the agent furthest below
+    ``m*alpha``, recomputed after each pick, ties by index, who takes its
+    best leftover.
     """
     graph = build_allocation_graph(inst)
     preferences = best_first_items(inst)
@@ -1213,10 +1229,13 @@ def graph_rows_allocation(inst):
         bundles[graph.slots[order[k]].agent].add(inst.items[j])
     if inst.kind == "goods":
         held = {j for _, j in match.pairs}
-        leftovers = [j for j in range(inst.m) if j not in held]
-        q = spare_slot_count(inst)
-        for k, j in enumerate(leftovers):
-            bundles[k // q].add(inst.items[j])
+        leftovers = {j for j in range(inst.m) if j not in held}
+        while leftovers:
+            deficit = [inst.m * a.entitlement - len(b) for a, b in zip(inst.agents, bundles)]
+            i = deficit.index(max(deficit))
+            j = next(j for j in preferences[i] if j in leftovers)
+            leftovers.remove(j)
+            bundles[i].add(inst.items[j])
     return IntegralAllocation(bundles=tuple(map(frozenset, bundles)))
 
 
