@@ -15,9 +15,11 @@ slack filled with dummy columns.  The other goods spare slots would hold
 dummy weight only, and they can take the remaining dummies in any
 permutation, so nothing is lost.  The weights are integers over the least
 common multiple of the entitlement denominators from the interval
-arithmetic to the end of the decomposition, and become fractions once,
-when the parts are merged.  :func:`build_fractional_matching` shares that
-arithmetic and gives the full extended graph's weights as fractions.
+arithmetic to the end of the decomposition, and each becomes a fraction
+with its part: every permutation is a part of its own, since no two give
+the same allocation (see :func:`uniform_lottery`).
+:func:`build_fractional_matching` shares that arithmetic and gives the
+full extended graph's weights as fractions.
 """
 
 from __future__ import annotations
@@ -37,6 +39,7 @@ from .core import (
     IntegralAllocation,
     InternalError,
     allocation_from_json,
+    allocation_to_json,
     format_rational,
     parse_rational,
 )
@@ -195,9 +198,26 @@ def uniform_lottery(instance: Instance) -> Lottery:
     extends to a perfect matching of the extended graph, since its other
     goods spare slots reach every dummy, so each allocation is fair.  The
     weights stay integers over the common denominator through the
-    decomposition and become fractions once, when permutations inducing
-    the same allocation are merged (first-seen order), so the support is
-    a set of distinct allocations.
+    decomposition, and each becomes a fraction with its part.
+
+    Parts are rounds: each permutation gives its own part, in round order,
+    and no two parts are the same allocation.  Two permutations of the
+    support that gave one allocation would differ by cycles in the
+    support, each real column joining two rows of one agent, since the
+    item keeps its agent; a dummy column may join any two rows.  No such
+    cycle exists:
+
+    * each agent's interval rows form a staircase (rows ``l`` and ``l + 1``
+      share at most the item straddling their boundary), so its real
+      support is a forest;
+    * :func:`_fill_northwest` is a staircase too, so the dummy support is
+      a forest;
+    * a cycle through both would leave an agent's real support at one of
+      its rows with real weight and slack and re-enter it at another, but
+      each agent has at most one such row: the first spare slot for
+      goods, the last partial row for chores.
+
+    A round zeroes one of its own entries, so no permutation recurs.
     """
     denom = _common_denominator(instance)
     rows: list[dict[int, int]] = []
@@ -207,24 +227,18 @@ def uniform_lottery(instance: Instance) -> Lottery:
         owners += [i] * len(agent_rows)
     _fill_northwest(rows, instance.m, denom)
     parts = bvn_decompose(rows, denom)
-    del rows  # memory peaks while the parts are merged
+    if sum(weight for weight, _ in parts) != denom:
+        raise InternalError("lottery weights do not sum to one")
     items, m = instance.items, instance.m
-    merged: dict[tuple[frozenset[str], ...], int] = {}
+    entries = []
     for weight, perm in parts:
         bundles: list[list[str]] = [[] for _ in range(instance.n)]
         for row, j in enumerate(perm):
             if j < m:
                 bundles[owners[row]].append(items[j])
-        key = tuple(frozenset(b) for b in bundles)
-        merged[key] = merged.get(key, 0) + weight
-    if sum(merged.values()) != denom:
-        raise InternalError("lottery weights do not sum to one")
-    return Lottery(
-        entries=tuple(
-            (Fraction(weight, denom), IntegralAllocation(bundles=key))
-            for key, weight in merged.items()
-        )
-    )
+        allocation = IntegralAllocation(bundles=tuple(map(frozenset, bundles)))
+        entries.append((Fraction(weight, denom), allocation))
+    return Lottery(entries=tuple(entries))
 
 
 # ---------------------------------------------------------------------------
@@ -232,15 +246,11 @@ def uniform_lottery(instance: Instance) -> Lottery:
 # ---------------------------------------------------------------------------
 
 def lottery_to_json(instance: Instance, lottery: Lottery) -> dict:
-    order = {item: j for j, item in enumerate(instance.items)}
     return {
         "parts": [
             {
                 "probability": format_rational(weight),
-                "allocation": {
-                    agent.name: sorted(allocation.bundles[i], key=order.__getitem__)
-                    for i, agent in enumerate(instance.agents)
-                },
+                "allocation": allocation_to_json(instance, allocation),
             }
             for weight, allocation in lottery.entries
         ]

@@ -13,7 +13,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from itertools import islice
+from itertools import chain, islice
 from pathlib import Path
 from typing import Iterable
 
@@ -64,7 +64,9 @@ def _emit(chunks: Iterable[str], out: str | None) -> None:
 
 
 def _emit_json(data: object, out: str | None) -> None:
-    _emit((json.dumps(data, indent=2), "\n"), out)
+    # json.dumps(data, indent=2) runs this same encoder but holds every
+    # chunk in a list, then the whole document as one string
+    _emit(chain(json.JSONEncoder(indent=2).iterencode(data), ("\n",)), out)
 
 
 def _load_instance_file(path: str) -> Instance:

@@ -1,6 +1,7 @@
 """Tests for the fractional matching construction and the uniform lottery."""
 
 import json
+import math
 import random
 from fractions import Fraction
 from pathlib import Path
@@ -165,9 +166,12 @@ def test_lottery_properties_random_instances():
 
 def assert_exact_lottery(inst, lottery):
     """Probabilities sum to 1, the mixture is exact, every part verifies and
-    hands out every item, and the part count keeps the decomposition bound
-    of the rows it decomposed: every chores slot, and each goods agent's
-    real slots plus its first spare slot."""
+    hands out every item, the parts are pairwise distinct allocations, and
+    the part count keeps two bounds: the decomposition bound of the rows it
+    decomposed (every chores slot, and each goods agent's real slots plus
+    its first spare slot), and D, the least common multiple of the
+    entitlement denominators, since every probability is a positive
+    multiple of 1/D."""
     assert sum(w for w, _ in lottery.entries) == 1
     assert all(w > 0 for w, _ in lottery.entries)
     mix = lottery.mixture(inst)
@@ -176,8 +180,11 @@ def assert_exact_lottery(inst, lottery):
     for _, allocation in lottery.entries:
         assert check_allocation(inst, allocation).passes
         assert sum(map(len, allocation.bundles)) == inst.m
+    parts = len(lottery.entries)
+    assert len({allocation.bundles for _, allocation in lottery.entries}) == parts
     rows = sum(slot_count(inst, i) + (inst.kind == "goods") for i in range(inst.n))
-    assert len(lottery.entries) <= rows * rows - rows + 2
+    assert parts <= rows * rows - rows + 2
+    assert parts <= math.lcm(*(agent.entitlement.denominator for agent in inst.agents))
 
 
 def test_lottery_parts_verify_and_mix_to_the_entitlements():
@@ -280,6 +287,44 @@ def test_lottery_with_a_large_entitlement_lcm(kind):
     ]
     inst = make(kind, items, agents)
     assert_exact_lottery(inst, uniform_lottery(inst))
+
+
+def primes():
+    k = 2
+    while True:
+        if all(k % d for d in range(2, math.isqrt(k) + 1)):
+            yield k
+        k += 1
+
+
+def powers_shares(n):
+    # weights 2^(i mod 12), normalized: D = 4095 at n = 12
+    weights = [2 ** (i % 12) for i in range(n)]
+    return [Fraction(w, sum(weights)) for w in weights]
+
+
+def coprime_shares(n):
+    # agent i < n - 1 gets 1/(4(n - 1)) + 1/(1000 p_i), p_i the i-th prime,
+    # and the last agent the rest: D has 48 bits at n = 12
+    prime = primes()
+    shares = [Fraction(1, 4 * (n - 1)) + Fraction(1, 1000 * next(prime)) for _ in range(n - 1)]
+    return shares + [1 - sum(shares)]
+
+
+@pytest.mark.parametrize("kind", ["goods", "chores"])
+@pytest.mark.parametrize("shares", [powers_shares, coprime_shares])
+def test_lottery_with_many_parts(kind, shares):
+    # the part count grows with D, not with the instance: about 600 parts
+    # at 12x60, where generated weights give about 60
+    base = generate_instance(12, 60, kind, 43)
+    inst = make(
+        kind,
+        list(base.items),
+        [(a.name, share, list(a.ranking)) for a, share in zip(base.agents, shares(12))],
+    )
+    lottery = uniform_lottery(inst)
+    assert len(lottery.entries) > 500
+    assert_exact_lottery(inst, lottery)
 
 
 @pytest.mark.parametrize("kind", ["goods", "chores"])

@@ -10,16 +10,18 @@ from pathlib import Path
 
 import pytest
 
-from fairmatch.bobw import lottery_from_json
+from fairmatch.bobw import lottery_from_json, lottery_to_json, uniform_lottery
 from fairmatch.cli import main
 from fairmatch.core import (
     allocation_to_json,
     dump_instance,
+    format_rational,
     generate_instance,
     load_instance,
     validate_instance,
 )
 from fairmatch.fairness import simulate_picking_sequence
+from fairmatch.optimize import MAXIMIZE, MINIMIZE, CostSpec, optimize_allocation
 
 
 def run(capsys, *argv):
@@ -258,6 +260,47 @@ def test_lottery_command_mixture_recomputable(tmp_path, capsys):
     lottery = lottery_from_json(inst, json.loads(out))
     mix = lottery.mixture(inst)
     assert all(x == Fraction(1, 2) for row in mix.shares for x in row)
+
+
+def test_json_output_is_byte_equal_to_json_dumps(tmp_path, capsys):
+    # the CLI streams its JSON from json.JSONEncoder.iterencode; to stdout
+    # and to -o, the bytes must equal one json.dumps(..., indent=2) of the
+    # same document, on generated instances and on non-ASCII names
+    items = ["\u00e9", "b2", "b3"]
+    named = validate_instance(
+        "goods", items,
+        [("\u00e5sa", Fraction(1, 3), items), ("a2", Fraction(2, 3), items[::-1])],
+    )
+    instances = [named] + [
+        generate_instance(n, m, kind, seed)
+        for kind in ("goods", "chores")
+        for n, m, seed in ((3, 9, 0), (8, 40, 1), (20, 100, 2))
+    ]
+    path, costs, out_path = tmp_path / "inst.json", tmp_path / "costs.txt", tmp_path / "out.json"
+
+    def assert_emits(expected, *argv):
+        code, out, err = run(capsys, *argv)
+        assert code == 0 and err == "" and out == expected, argv
+        code, _, _ = run(capsys, *argv, "-o", str(out_path))
+        assert code == 0 and out_path.read_bytes() == expected.encode("utf-8"), argv
+
+    for inst in instances:
+        path.write_text(dump_instance(inst), encoding="utf-8")
+        lottery = lottery_to_json(inst, uniform_lottery(inst))
+        assert_emits(json.dumps(lottery, indent=2) + "\n", "lottery", str(path))
+        rng = random.Random(inst.m)
+        rows = [[Fraction(rng.randint(0, 20), rng.randint(1, 6)) for _ in inst.items]
+                for _ in inst.agents]
+        costs.write_text("".join(" ".join(map(str, row)) + "\n" for row in rows))
+        for direction in (MINIMIZE, MAXIMIZE):
+            allocation, objective = optimize_allocation(inst, CostSpec.scaled(rows, direction))
+            payload = {
+                "allocation": allocation_to_json(inst, allocation),
+                "objective": format_rational(objective),
+                "direction": direction,
+            }
+            assert_emits(json.dumps(payload, indent=2) + "\n",
+                         "optimize", str(path), "--costs", str(costs), f"--{direction}")
 
 
 def test_graph_command_text_and_dot(tmp_path, capsys):

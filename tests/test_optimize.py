@@ -304,6 +304,87 @@ def test_large_optima_are_pinned(kind, direction, optimum):
     assert check_allocation(inst, allocation).passes
 
 
+def lp_optimum(instance, spec):
+    """Optimum of the LP relaxation of the best fair allocation, in the
+    spec's integer units, from ``scipy.optimize.linprog`` (HiGHS).
+
+    ``x[i*m + j]`` in [0, 1] is agent i's share of item j, and every item
+    is shared out once.  Each agent's count over the first k items of its
+    ranking keeps the bound of :func:`fairmatch.fairness.check_bundle`: at
+    most ``floor(k*alpha) + 1`` chores, or at least ``ceil(k*alpha) - 1``
+    goods.  A chores bound that the next prefix repeats, or a goods bound
+    that the previous one does, is implied and left out.  The matrix is
+    the incidence matrix of two laminar families (the items, and each
+    agent's nested prefixes), so it is totally unimodular and the LP
+    optimum is the optimum over fair allocations.
+    """
+    sparse = pytest.importorskip("scipy.sparse")
+    linprog = pytest.importorskip("scipy.optimize").linprog
+    n, m = instance.n, instance.m
+    column = {item: j for j, item in enumerate(instance.items)}
+    chores = instance.kind == "chores"
+    sign = 1 if chores else -1  # sign * (prefix count) <= sign * bound
+    rows, cols, upper = [], [], []
+    for i, agent in enumerate(instance.agents):
+        a, b = agent.entitlement.numerator, agent.entitlement.denominator
+        prefix = []
+        for k, item in enumerate(agent.ranking, start=1):
+            prefix.append(i * m + column[item])
+            if chores:
+                bound = k * a // b + 1
+                if k < m and (k + 1) * a // b + 1 == bound:
+                    continue
+            else:
+                bound = -(-k * a // b) - 1
+                if k > 1 and -(-(k - 1) * a // b) - 1 == bound:
+                    continue
+            rows += [len(upper)] * k
+            cols += prefix
+            upper.append(sign * bound)
+    a_ub = sparse.csr_matrix(([sign] * len(rows), (rows, cols)), shape=(len(upper), n * m))
+    a_eq = sparse.csr_matrix(
+        ([1] * (n * m), ([j for _ in range(n) for j in range(m)], range(n * m))), shape=(m, n * m)
+    )
+    sense = 1 if spec.direction == MINIMIZE else -1
+    result = linprog(
+        [sense * c for row in spec.rows for c in row],
+        A_ub=a_ub, b_ub=upper, A_eq=a_eq, b_eq=[1] * m, bounds=(0, 1), method="highs",
+    )
+    assert result.status == 0, result.message
+    return sense * result.fun
+
+
+def rank_position_costs(instance, rng):
+    # agent i's cost for item j is j's position in i's ranking
+    return [[agent.ranking.index(item) + 1 for item in instance.items] for agent in instance.agents]
+
+
+COST_FAMILIES = {
+    "recipe": lambda instance, rng: random_rows(
+        instance, lambda: Fraction(rng.randint(0, 20), rng.randint(1, 6))
+    ),
+    "wide": lambda instance, rng: random_rows(instance, lambda: rng.randint(0, 10**6)),
+    "rank-position": rank_position_costs,
+}
+
+
+@pytest.mark.parametrize("family", sorted(COST_FAMILIES))
+@pytest.mark.parametrize("kind", ["goods", "chores"])
+def test_optimum_equals_the_lp_relaxation(kind, family):
+    # the LP bounds every fair allocation's objective and the allocation
+    # verifies, so an objective within half a scaled unit of it is optimal
+    cases = [(n, m, seed) for n, m in ((3, 9), (5, 20), (8, 40)) for seed in range(5)]
+    for n, m, seed in cases + [(20, 100, 43)]:
+        inst = generate_instance(n, m, kind, seed)
+        rows = COST_FAMILIES[family](inst, random.Random(seed))
+        for direction in (MINIMIZE, MAXIMIZE):
+            spec = CostSpec.scaled(rows, direction)
+            allocation, objective = optimize_allocation(inst, spec)
+            assert check_allocation(inst, allocation).passes
+            gap = objective * spec.denominator - lp_optimum(inst, spec)
+            assert abs(gap) <= 0.5, (n, m, seed, direction, float(gap))
+
+
 def test_incomplete_cost_spec_rejected():
     spec = CostSpec.scaled([[Fraction(1)]], MINIMIZE)
     with pytest.raises(IncompleteCostSpec):
