@@ -248,6 +248,21 @@ def assignment_min_cost(
     garbage collector counts, so the pushes of a long search trigger no
     collections over the caller's objects.
 
+    A search pushes only what can pop before it ends.  ``limit`` is the
+    smallest key among the unmatched right vertices the search has
+    pushed, and ``bound`` its distance.  No key above ``limit`` enters
+    the heap: the first row's are dropped before the heap is built, and a
+    later offer with one is skipped together with its ``dist`` and
+    ``via`` write (a row's offer at a distance above ``bound`` before its
+    key is built).  This is exact.  Keys are distinct within a search and pop in
+    increasing order, and ``limit``'s entry stays in the heap until the
+    search ends, at the latest when it pops; a shorter path to its
+    vertex only lowers ``limit``.  So a key above ``limit`` would never
+    have popped, and every pop, settled distance, potential update,
+    ``via`` link and run offer (made only when a vertex settles) is the
+    one the search would make with every offer pushed.  This relies on a
+    row listing each right vertex at most once.
+
     A matched vertex ``j`` that settles at distance ``d`` also offers
     ``k = after[j]`` the distance ``d + v[j] - v[k]``, the offer that
     ``j``'s best row makes to ``k``.  This is exact.  If ``j`` is matched
@@ -283,12 +298,17 @@ def assignment_min_cost(
         dist: list[int | None] = [None] * right_count
         via = [-1] * right_count
         heap = []
+        limit = bound = math.inf  # no unmatched right vertex reached yet
         us = u[s]
         for j, c in zip(adjacency[s], costs[s]):
             d = c - us - v[j]
             dist[j] = d
             via[j] = s
-            heap.append((d << 1 | (owner[j] >= 0)) * right_count + j)
+            key = (d << 1 | (owner[j] >= 0)) * right_count + j
+            heap.append(key)
+            if owner[j] < 0 and key < limit:
+                limit, bound = key, d
+        heap = [key for key in heap if key <= limit]
         heapq.heapify(heap)
         settled: list[int] = []
         while True:
@@ -307,19 +327,29 @@ def assignment_min_cost(
                 nd = d + v[j] - v[k]
                 old = dist[k]
                 if old is None or nd < old:
-                    dist[k] = nd
-                    via[k] = via[j]
-                    heapq.heappush(heap, (nd << 1 | (owner[k] >= 0)) * right_count + k)
+                    key = (nd << 1 | (owner[k] >= 0)) * right_count + k
+                    if key < limit:
+                        dist[k] = nd
+                        via[k] = via[j]
+                        heapq.heappush(heap, key)
+                        if owner[k] < 0:
+                            limit, bound = key, nd
             # a settled vertex never improves (reduced costs are
             # nonnegative), so it needs no separate check here
             off = d - u[i]
             for k, c in zip(adjacency[i], costs[i]):
                 nd = off + c - v[k]
+                if nd > bound:
+                    continue  # cannot pop before the search ends
                 old = dist[k]
                 if old is None or nd < old:
-                    dist[k] = nd
-                    via[k] = i
-                    heapq.heappush(heap, (nd << 1 | (owner[k] >= 0)) * right_count + k)
+                    key = (nd << 1 | (owner[k] >= 0)) * right_count + k
+                    if key < limit:
+                        dist[k] = nd
+                        via[k] = i
+                        heapq.heappush(heap, key)
+                        if owner[k] < 0:
+                            limit, bound = key, nd
         # shift the potentials so the reduced costs stay nonnegative and
         # every edge of the path just found becomes tight; only the last
         # settled vertex, at distance d, is unmatched

@@ -41,7 +41,7 @@ from fairmatch.oracle import (
     allocation_from_matching,
     enumerate_side_perfect_matchings,
 )
-from reference import max_rank, ranked_graph, signature
+from reference import max_rank, ranked_graph, signature, uncut_assignment_min_cost
 
 
 def make(kind, items, agents):
@@ -590,40 +590,49 @@ def test_tie_heavy_assignment_agrees_with_networkx(monkeypatch):
     assert sum(covered) / len(covered) > 0.5
 
 
+def random_run_rows(rng):
+    """Columns chained into runs in shuffled order, some of length 1; each
+    row reaches a suffix of a run at one cost in 0..3 and lists only its
+    first column, and some rows repeat, so equal offers come from
+    different rows.  Returns the listed rows and their costs, the same
+    rows with every run written out in full, ``after`` and the column
+    count."""
+    left = rng.randint(8, 30)
+    right = left + rng.randint(0, 6)
+    order = list(range(right))
+    rng.shuffle(order)
+    runs, after = [], [-1] * right
+    while order:
+        size = rng.randint(1, 5)
+        run, order = order[:size], order[size:]
+        runs.append(run)
+        for j, k in zip(run, run[1:]):
+            after[j] = k
+    heads, costs, full, full_costs = [], [], [], []
+    while len(heads) < left:
+        row, cost, wide, wide_cost = [], [], [], []
+        for run in rng.sample(runs, rng.randint(len(runs) // 3, len(runs))):
+            start, c = rng.randrange(len(run)), rng.randint(0, 3)
+            row.append(run[start])
+            cost.append(c)
+            wide += run[start:]
+            wide_cost += [c] * (len(run) - start)
+        for _ in range(min(rng.choice((1, 1, 2, 3)), left - len(heads))):
+            heads.append(row)
+            costs.append(cost)
+            full.append(wide)
+            full_costs.append(wide_cost)
+    return heads, costs, full, full_costs, after, right
+
+
 def test_runs_reached_through_after_cost_what_the_expanded_rows_cost():
-    # columns chained into runs in shuffled order, some of length 1; each
-    # row reaches a suffix of a run at one cost in 0..3 and lists only its
-    # first column, and some rows repeat, so equal offers come from
-    # different rows.  The same rows with every run written out in full
-    # and no after must give the same total cost, or both none
+    # the rows with every run written out in full and no after must give
+    # the same total cost as the listed rows with after, or both none
     rng = random.Random(71)
     solved = 0
     for trial in range(60):
-        left = rng.randint(8, 30)
-        right = left + rng.randint(0, 6)
-        order = list(range(right))
-        rng.shuffle(order)
-        runs, after = [], [-1] * right
-        while order:
-            size = rng.randint(1, 5)
-            run, order = order[:size], order[size:]
-            runs.append(run)
-            for j, k in zip(run, run[1:]):
-                after[j] = k
-        heads, costs, full, full_costs = [], [], [], []
-        while len(heads) < left:
-            row, cost, wide, wide_cost = [], [], [], []
-            for run in rng.sample(runs, rng.randint(len(runs) // 3, len(runs))):
-                start, c = rng.randrange(len(run)), rng.randint(0, 3)
-                row.append(run[start])
-                cost.append(c)
-                wide += run[start:]
-                wide_cost += [c] * (len(run) - start)
-            for _ in range(min(rng.choice((1, 1, 2, 3)), left - len(heads))):
-                heads.append(row)
-                costs.append(cost)
-                full.append(wide)
-                full_costs.append(wide_cost)
+        heads, costs, full, full_costs, after, right = random_run_rows(rng)
+        left = len(heads)
         try:
             expected = assignment_min_cost(full, full_costs, right)
         except NoPerfectMatching:
@@ -639,6 +648,27 @@ def test_runs_reached_through_after_cost_what_the_expanded_rows_cost():
         best = sum(full_costs[i][full[i].index(j)] for i, j in expected.pairs)
         assert total == best, trial
     assert solved >= 20
+
+
+def test_searches_cut_short_return_the_pairs_of_the_uncut_kernel():
+    # skipping the pushes that cannot pop before a search ends changes no
+    # pop, so the pairs are the uncut kernel's exactly, with and without
+    # after, and both raise NoPerfectMatching in the same cases
+    rng = random.Random(73)
+    outcomes = {"solved": 0, "none": 0}
+    for trial in range(120):
+        heads, costs, full, full_costs, after, right = random_run_rows(rng)
+        for args in ((heads, costs, right, after), (full, full_costs, right)):
+            try:
+                expected = uncut_assignment_min_cost(*args)
+            except NoPerfectMatching:
+                with pytest.raises(NoPerfectMatching):
+                    assignment_min_cost(*args)
+                outcomes["none"] += 1
+                continue
+            assert assignment_min_cost(*args).pairs == expected.pairs, trial
+            outcomes["solved"] += 1
+    assert outcomes["solved"] >= 120 and outcomes["none"] >= 40, outcomes
 
 
 def test_tight_start_leaves_a_row_that_reaches_only_full_columns():
