@@ -38,8 +38,8 @@ from .core import (
     Instance,
     IntegralAllocation,
     InternalError,
+    _allocations_to_json,
     allocation_from_json,
-    allocation_to_json,
     format_rational,
     parse_rational,
 )
@@ -246,13 +246,11 @@ def uniform_lottery(instance: Instance) -> Lottery:
 # ---------------------------------------------------------------------------
 
 def lottery_to_json(instance: Instance, lottery: Lottery) -> dict:
+    allocations = _allocations_to_json(instance, (a for _, a in lottery.entries))
     return {
         "parts": [
-            {
-                "probability": format_rational(weight),
-                "allocation": allocation_to_json(instance, allocation),
-            }
-            for weight, allocation in lottery.entries
+            {"probability": format_rational(weight), "allocation": allocation}
+            for (weight, _), allocation in zip(lottery.entries, allocations)
         ]
     }
 

@@ -32,7 +32,7 @@ import random
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import Iterable, Iterator, Sequence
 
 GOODS = "goods"
 CHORES = "chores"
@@ -371,11 +371,19 @@ def load_instance(text: str) -> Instance:
 # ---------------------------------------------------------------------------
 
 def allocation_to_json(instance: Instance, allocation: IntegralAllocation) -> dict:
-    order = {item: j for j, item in enumerate(instance.items)}
-    return {
-        agent.name: sorted(allocation.bundles[i], key=order.__getitem__)
-        for i, agent in enumerate(instance.agents)
-    }
+    return next(_allocations_to_json(instance, (allocation,)))
+
+
+def _allocations_to_json(
+    instance: Instance, allocations: Iterable[IntegralAllocation]
+) -> Iterator[dict]:
+    # each allocation's bundles in instance item order, the order built once
+    order = {item: j for j, item in enumerate(instance.items)}.__getitem__
+    for allocation in allocations:
+        yield {
+            agent.name: sorted(allocation.bundles[i], key=order)
+            for i, agent in enumerate(instance.agents)
+        }
 
 
 def allocation_from_json(instance: Instance, data: object) -> IntegralAllocation:

@@ -40,6 +40,7 @@ import heapq
 import math
 from dataclasses import dataclass
 from itertools import chain
+from operator import gt, lt
 from typing import Iterable, Mapping, Sequence
 
 from .allocgraph import AllocationGraph, BipartiteGraph, slot_reaches
@@ -204,13 +205,16 @@ def assignment_min_cost(
     costs: Sequence[Sequence[int]],
     right_count: int,
     after: Sequence[int] | None = None,
+    group: Sequence[int] | None = None,
 ) -> Matching:
     """Min-cost matching saturating every left vertex, over integer costs.
 
-    ``costs[i]`` is aligned with ``adjacency[i]``.  Each right vertex takes
-    at most one left vertex and need not be matched.  Returns one pair per
-    left vertex, in left order; raises :class:`NoPerfectMatching` when
-    some left vertex cannot be saturated.
+    ``costs[i]`` is aligned with ``adjacency[i]``; entries past the end of
+    ``adjacency[i]`` are ignored, and a shorter cost row raises
+    :class:`ValueError`.  Each right vertex takes at most one left vertex
+    and need not be matched.  Returns one pair per left vertex, in left
+    order; raises :class:`NoPerfectMatching` when some left vertex cannot
+    be saturated.
 
     ``after`` chains the right vertices into runs: ``after[j]`` is the
     next vertex of ``j``'s run, or -1, and each vertex of a run reaches
@@ -218,6 +222,22 @@ def assignment_min_cost(
     lists, of each run it reaches, only the earliest vertex it reaches,
     and reaches the rest of the run through ``after``.  With no
     ``after``, every right vertex is its own run.
+
+    ``group[i]`` numbers the group of left vertex ``i``.  The rows of one
+    group list prefixes of one sequence at one cost per entry:
+    ``adjacency[i][t]`` and ``costs[i][t]`` are the same for every row
+    ``i`` of the group longer than ``t``, so the rows may share one cost
+    list.  A group whose rows do not nest so raises :class:`ValueError`.
+    The row minima and tight edges below are read once per group, its
+    rows shortest first, each extending the row before.  A search keeps
+    the ``(offset, length)`` of each row it relaxes, its first row at
+    offset ``-u[s]``, and scans a row only past the longest row of its
+    group relaxed at an offset no larger than its own.  This is exact:
+    ``v`` is fixed within a search, so a skipped entry repeats an offer of
+    that longer row at no smaller distance.  That offer either left
+    ``dist`` no larger or was dropped above ``limit``, which only falls.
+    So no distance, ``via`` link or pop changes.  With no ``group``, each
+    row scans all its entries.
 
     The potentials start at ``u`` = row minimum and ``v`` = 0, so every
     reduced cost ``c - u[i] - v[j]`` is nonnegative and each row's
@@ -251,11 +271,11 @@ def assignment_min_cost(
     A search pushes only what can pop before it ends.  ``limit`` is the
     smallest key among the unmatched right vertices the search has
     pushed, and ``bound`` its distance.  No key above ``limit`` enters
-    the heap: the first row's are dropped before the heap is built, and a
-    later offer with one is skipped together with its ``dist`` and
-    ``via`` write (a row's offer at a distance above ``bound`` before its
-    key is built).  This is exact.  Keys are distinct within a search and pop in
-    increasing order, and ``limit``'s entry stays in the heap until the
+    the heap: an offer with one is skipped together with its ``dist`` and
+    ``via`` write (an offer at a distance above ``bound`` before its key
+    is built), and the first row's keys that ``limit`` passed after they
+    were offered are dropped before the heap is built.  This is exact.
+    Keys are distinct within a search and pop in increasing order, and ``limit``'s entry stays in the heap until the
     search ends, at the latest when it pops; a shorter path to its
     vertex only lowers ``limit``.  So a key above ``limit`` would never
     have popped, and every pop, settled distance, potential update,
@@ -275,20 +295,31 @@ def assignment_min_cost(
     is then the one a search over the runs written out in full would
     find; only the order of equal distances can differ.
     """
+    # the length checks map over the rows in C, leaving chores no slower
+    if any(map(lt, map(len, costs), map(len, adjacency))):
+        i = next(i for i, (row, cost) in enumerate(zip(adjacency, costs)) if len(cost) < len(row))
+        raise ValueError(f"cost row {i} is shorter than its adjacency row")
+    if group is None:
+        if any(map(gt, map(len, costs), map(len, adjacency))):
+            costs = [cost[: len(row)] for row, cost in zip(adjacency, costs)]
+        u = [min(cost, default=0) for cost in costs]
+        tight = [
+            [j for j, c in zip(row, cost) if c == ui] for row, cost, ui in zip(adjacency, costs, u)
+        ]
+    else:
+        u, tight = _nested_minima(adjacency, costs, group)
     if after is None:
         after = [-1] * right_count
-    u = [min(row, default=0) for row in costs]
+    else:  # each tight entry expanded through its run
+        for t, reach in enumerate(tight):
+            tight[t] = run = []
+            for j in reach:
+                while j >= 0:
+                    run.append(j)
+                    j = after[j]
     v = [0] * right_count
     owner = [-1] * right_count
     mate = [-1] * len(adjacency)
-    tight = []
-    for row, cost, ui in zip(adjacency, costs, u):
-        reach = []
-        for j in [j for j, c in zip(row, cost) if c == ui]:
-            while j >= 0:
-                reach.append(j)
-                j = after[j]
-        tight.append(reach)
     for i, j in max_matching(tight, right_count).pairs:
         mate[i] = j
         owner[j] = i
@@ -300,14 +331,19 @@ def assignment_min_cost(
         heap = []
         limit = bound = math.inf  # no unmatched right vertex reached yet
         us = u[s]
+        if group is not None:
+            relaxed = {group[s]: [(-us, len(adjacency[s]))]}
         for j, c in zip(adjacency[s], costs[s]):
             d = c - us - v[j]
-            dist[j] = d
-            via[j] = s
+            if d > bound:
+                continue  # cannot pop before the search ends
             key = (d << 1 | (owner[j] >= 0)) * right_count + j
-            heap.append(key)
-            if owner[j] < 0 and key < limit:
-                limit, bound = key, d
+            if key < limit:
+                dist[j] = d
+                via[j] = s
+                heap.append(key)
+                if owner[j] < 0:
+                    limit, bound = key, d
         heap = [key for key in heap if key <= limit]
         heapq.heapify(heap)
         settled: list[int] = []
@@ -337,7 +373,19 @@ def assignment_min_cost(
             # a settled vertex never improves (reduced costs are
             # nonnegative), so it needs no separate check here
             off = d - u[i]
-            for k, c in zip(adjacency[i], costs[i]):
+            row, cost = adjacency[i], costs[i]
+            if group is not None:
+                done = relaxed.setdefault(group[i], [])
+                start = 0
+                for o, r in done:
+                    if o <= off and r > start:
+                        start = r
+                if start >= len(row):
+                    continue  # a longer row of the group offered all of it
+                done.append((off, len(row)))
+                if start:
+                    row, cost = row[start:], cost[start : len(row)]
+            for k, c in zip(row, cost):
                 nd = off + c - v[k]
                 if nd > bound:
                     continue  # cannot pop before the search ends
@@ -366,6 +414,35 @@ def assignment_min_cost(
             if i == s:
                 break
     return Matching(pairs=tuple(enumerate(mate)))
+
+
+def _nested_minima(
+    adjacency: Sequence[Sequence[int]], costs: Sequence[Sequence[int]], group: Sequence[int]
+) -> tuple[list[int], list[list[int]]]:
+    """Each row's least cost and its entries at that cost, each group read
+    once: its rows, shortest first, extend those of the row before."""
+    u = [0] * len(adjacency)
+    tight: list[list[int]] = [[]] * len(adjacency)
+    last = prev = None
+    for i in sorted(range(len(adjacency)), key=lambda i: (group[i], len(adjacency[i]))):
+        row, cost = adjacency[i], costs[i]
+        if group[i] != last:
+            last, low, reach, stop = group[i], 0, [], 0
+        elif tuple(row[:stop]) != tuple(adjacency[prev]) or (
+            cost is not costs[prev] and list(cost[:stop]) != list(costs[prev][:stop])
+        ):
+            raise ValueError(f"row {i} does not extend row {prev} of its group")
+        prev = i
+        part = cost[stop : len(row)]
+        if part:
+            least = min(part)
+            if not stop or least < low:
+                low, reach = least, []
+            if least == low:
+                reach = reach + [j for j, c in zip(row[stop:], part) if c == low]
+            stop = len(row)
+        u[i], tight[i] = low, reach
+    return u, tight
 
 
 # ---------------------------------------------------------------------------
