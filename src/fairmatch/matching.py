@@ -10,7 +10,8 @@ This module bundles every matching primitive the library needs:
   successive shortest paths from the rows it leaves free, with Dijkstra
   over the sparse adjacency lists and integer potentials.  Columns
   chained into runs, each reaching the rows of the one before it at the
-  same cost, are listed once per row and reached lazily.  It serves
+  same cost, are listed once per row and reached lazily, and left
+  vertices may be prefixes of one shared row.  It serves
   both ``optimize``, whose costs arrive as integers over one common
   denominator, and rank-maximal matching (an edge of rank ``r`` weighs
   ``B**(w - r)``);
@@ -39,8 +40,8 @@ from __future__ import annotations
 import heapq
 import math
 from dataclasses import dataclass
-from itertools import chain
-from operator import gt, lt
+from itertools import chain, islice
+from operator import ne
 from typing import Iterable, Mapping, Sequence
 
 from .allocgraph import AllocationGraph, BipartiteGraph, slot_reaches
@@ -205,16 +206,15 @@ def assignment_min_cost(
     costs: Sequence[Sequence[int]],
     right_count: int,
     after: Sequence[int] | None = None,
-    group: Sequence[int] | None = None,
+    prefix: Sequence[tuple[int, int]] | None = None,
 ) -> Matching:
     """Min-cost matching saturating every left vertex, over integer costs.
 
-    ``costs[i]`` is aligned with ``adjacency[i]``; entries past the end of
-    ``adjacency[i]`` are ignored, and a shorter cost row raises
-    :class:`ValueError`.  Each right vertex takes at most one left vertex
-    and need not be matched.  Returns one pair per left vertex, in left
-    order; raises :class:`NoPerfectMatching` when some left vertex cannot
-    be saturated.
+    ``costs[i]`` is aligned with ``adjacency[i]``; a cost row of another
+    length, or another count of cost rows, raises :class:`ValueError`.
+    Each right vertex takes at most one left vertex and need not be
+    matched.  Returns one pair per left vertex, in left order; raises
+    :class:`NoPerfectMatching` when some left vertex cannot be saturated.
 
     ``after`` chains the right vertices into runs: ``after[j]`` is the
     next vertex of ``j``'s run, or -1, and each vertex of a run reaches
@@ -223,21 +223,18 @@ def assignment_min_cost(
     and reaches the rest of the run through ``after``.  With no
     ``after``, every right vertex is its own run.
 
-    ``group[i]`` numbers the group of left vertex ``i``.  The rows of one
-    group list prefixes of one sequence at one cost per entry:
-    ``adjacency[i][t]`` and ``costs[i][t]`` are the same for every row
-    ``i`` of the group longer than ``t``, so the rows may share one cost
-    list.  A group whose rows do not nest so raises :class:`ValueError`.
-    The row minima and tight edges below are read once per group, its
-    rows shortest first, each extending the row before.  A search keeps
-    the ``(offset, length)`` of each row it relaxes, its first row at
-    offset ``-u[s]``, and scans a row only past the longest row of its
-    group relaxed at an offset no larger than its own.  This is exact:
-    ``v`` is fixed within a search, so a skipped entry repeats an offer of
-    that longer row at no smaller distance.  That offer either left
-    ``dist`` no larger or was dropped above ``limit``, which only falls.
-    So no distance, ``via`` link or pop changes.  With no ``group``, each
-    row scans all its entries.
+    With no ``prefix``, left vertex ``i`` is row ``i``.  With one,
+    ``prefix[i] = (g, length)`` makes left vertex ``i`` reach
+    ``adjacency[g][:length]`` at ``costs[g][:length]``; a ``length`` past
+    the end of row ``g`` raises :class:`ValueError`.  The minima and tight
+    edges below are read once per row, its prefixes shortest first.  A
+    search keeps the ``(offset, length)`` of each prefix it relaxes, and
+    scans a prefix only past the longest one of its row relaxed at an
+    offset no larger than its own.  This is exact: ``v`` is fixed within
+    a search, so a skipped entry repeats an offer of that longer prefix
+    at no smaller distance.  That offer either left ``dist`` no larger or
+    was dropped above ``limit``, which only falls.  So no distance,
+    ``via`` link or pop changes.
 
     The potentials start at ``u`` = row minimum and ``v`` = 0, so every
     reduced cost ``c - u[i] - v[j]`` is nonnegative and each row's
@@ -256,7 +253,8 @@ def assignment_min_cost(
     leaves free, in index order: each augments along a shortest
     alternating path to an unmatched right vertex, found by Dijkstra over
     the reduced costs, which stay nonnegative under exact integer
-    potentials.  A settled unmatched right vertex ends the search; a
+    potentials.  A search relaxes the row of its free vertex ``s`` at
+    offset ``-u[s]``.  A settled unmatched right vertex ends it; a
     matched one relaxes the row of its left vertex, at its distance
     because their edge is tight.  The heap orders ``(distance, full,
     right)``, full meaning matched: at equal distance an unmatched right
@@ -270,18 +268,17 @@ def assignment_min_cost(
 
     A search pushes only what can pop before it ends.  ``limit`` is the
     smallest key among the unmatched right vertices the search has
-    pushed, and ``bound`` its distance.  No key above ``limit`` enters
-    the heap: an offer with one is skipped together with its ``dist`` and
-    ``via`` write (an offer at a distance above ``bound`` before its key
-    is built), and the first row's keys that ``limit`` passed after they
-    were offered are dropped before the heap is built.  This is exact.
-    Keys are distinct within a search and pop in increasing order, and ``limit``'s entry stays in the heap until the
-    search ends, at the latest when it pops; a shorter path to its
-    vertex only lowers ``limit``.  So a key above ``limit`` would never
-    have popped, and every pop, settled distance, potential update,
-    ``via`` link and run offer (made only when a vertex settles) is the
-    one the search would make with every offer pushed.  This relies on a
-    row listing each right vertex at most once.
+    pushed, and ``bound`` its distance.  An offer whose key is above
+    ``limit`` is skipped together with its ``dist`` and ``via`` write,
+    and one at a distance above ``bound`` before its key is built.  This
+    is exact.  Keys are distinct within a search and pop in increasing
+    order, and ``limit``'s entry stays in the heap until the search ends,
+    at the latest when it pops; a shorter path to its vertex only lowers
+    ``limit``.  So a key above ``limit`` would never have popped, and
+    every pop, settled distance, potential update, ``via`` link and run
+    offer (made only when a vertex settles) is the one the search would
+    make with every offer pushed.  This relies on a row listing each
+    right vertex at most once.
 
     A matched vertex ``j`` that settles at distance ``d`` also offers
     ``k = after[j]`` the distance ``d + v[j] - v[k]``, the offer that
@@ -295,19 +292,19 @@ def assignment_min_cost(
     is then the one a search over the runs written out in full would
     find; only the order of equal distances can differ.
     """
-    # the length checks map over the rows in C, leaving chores no slower
-    if any(map(lt, map(len, costs), map(len, adjacency))):
-        i = next(i for i, (row, cost) in enumerate(zip(adjacency, costs)) if len(cost) < len(row))
-        raise ValueError(f"cost row {i} is shorter than its adjacency row")
-    if group is None:
-        if any(map(gt, map(len, costs), map(len, adjacency))):
-            costs = [cost[: len(row)] for row, cost in zip(adjacency, costs)]
+    if len(costs) != len(adjacency):
+        raise ValueError(f"{len(costs)} cost rows for {len(adjacency)} adjacency rows")
+    # the length check maps over the rows in C, leaving chores no slower
+    if any(map(ne, map(len, costs), map(len, adjacency))):
+        i = next(i for i, (row, cost) in enumerate(zip(adjacency, costs)) if len(cost) != len(row))
+        raise ValueError(f"cost row {i} does not have the length of its adjacency row")
+    if prefix is None:
         u = [min(cost, default=0) for cost in costs]
         tight = [
             [j for j, c in zip(row, cost) if c == ui] for row, cost, ui in zip(adjacency, costs, u)
         ]
     else:
-        u, tight = _nested_minima(adjacency, costs, group)
+        u, tight = _prefix_minima(adjacency, costs, prefix)
     if after is None:
         after = [-1] * right_count
     else:  # each tight entry expanded through its run
@@ -319,41 +316,56 @@ def assignment_min_cost(
                     j = after[j]
     v = [0] * right_count
     owner = [-1] * right_count
-    mate = [-1] * len(adjacency)
+    mate = [-1] * len(u)
     for i, j in max_matching(tight, right_count).pairs:
         mate[i] = j
         owner[j] = i
-    for s in range(len(adjacency)):
+    for s in range(len(u)):
         if mate[s] >= 0:
             continue
         dist: list[int | None] = [None] * right_count
         via = [-1] * right_count
-        heap = []
+        heap: list[int] = []
         limit = bound = math.inf  # no unmatched right vertex reached yet
-        us = u[s]
-        if group is not None:
-            relaxed = {group[s]: [(-us, len(adjacency[s]))]}
-        for j, c in zip(adjacency[s], costs[s]):
-            d = c - us - v[j]
-            if d > bound:
-                continue  # cannot pop before the search ends
-            key = (d << 1 | (owner[j] >= 0)) * right_count + j
-            if key < limit:
-                dist[j] = d
-                via[j] = s
-                heap.append(key)
-                if owner[j] < 0:
-                    limit, bound = key, d
-        heap = [key for key in heap if key <= limit]
-        heapq.heapify(heap)
+        relaxed: dict[int, list[tuple[int, int]]] = {}
         settled: list[int] = []
+        i, off = s, -u[s]
         while True:
-            if not heap:
-                raise NoPerfectMatching("graph admits no perfect matching")
-            d, j = divmod(heapq.heappop(heap), right_count)
-            d >>= 1
-            if d != dist[j]:
-                continue  # superseded by a shorter path
+            if prefix is None:
+                edges = zip(adjacency[i], costs[i])
+            else:
+                g, length = prefix[i]
+                done = relaxed.setdefault(g, [])
+                start = 0
+                for o, r in done:
+                    if o <= off and r > start:
+                        start = r
+                if start < length:
+                    done.append((off, length))
+                if start:  # a longer prefix offered the entries before start
+                    edges = zip(adjacency[g][start:length], costs[g][start:length])
+                else:  # no copy of the prefix
+                    edges = islice(zip(adjacency[g], costs[g]), length)
+            for k, c in edges:
+                nd = off + c - v[k]
+                if nd > bound:
+                    continue  # cannot pop before the search ends
+                old = dist[k]
+                if old is None or nd < old:
+                    key = (nd << 1 | (owner[k] >= 0)) * right_count + k
+                    if key < limit:
+                        dist[k] = nd
+                        via[k] = i
+                        heapq.heappush(heap, key)
+                        if owner[k] < 0:
+                            limit, bound = key, nd
+            while True:
+                if not heap:
+                    raise NoPerfectMatching("graph admits no perfect matching")
+                d, j = divmod(heapq.heappop(heap), right_count)
+                d >>= 1
+                if d == dist[j]:
+                    break  # else superseded by a shorter path
             settled.append(j)
             i = owner[j]
             if i < 0:
@@ -373,31 +385,6 @@ def assignment_min_cost(
             # a settled vertex never improves (reduced costs are
             # nonnegative), so it needs no separate check here
             off = d - u[i]
-            row, cost = adjacency[i], costs[i]
-            if group is not None:
-                done = relaxed.setdefault(group[i], [])
-                start = 0
-                for o, r in done:
-                    if o <= off and r > start:
-                        start = r
-                if start >= len(row):
-                    continue  # a longer row of the group offered all of it
-                done.append((off, len(row)))
-                if start:
-                    row, cost = row[start:], cost[start : len(row)]
-            for k, c in zip(row, cost):
-                nd = off + c - v[k]
-                if nd > bound:
-                    continue  # cannot pop before the search ends
-                old = dist[k]
-                if old is None or nd < old:
-                    key = (nd << 1 | (owner[k] >= 0)) * right_count + k
-                    if key < limit:
-                        dist[k] = nd
-                        via[k] = i
-                        heapq.heappush(heap, key)
-                        if owner[k] < 0:
-                            limit, bound = key, nd
         # shift the potentials so the reduced costs stay nonnegative and
         # every edge of the path just found becomes tight; only the last
         # settled vertex, at distance d, is unmatched
@@ -416,31 +403,31 @@ def assignment_min_cost(
     return Matching(pairs=tuple(enumerate(mate)))
 
 
-def _nested_minima(
-    adjacency: Sequence[Sequence[int]], costs: Sequence[Sequence[int]], group: Sequence[int]
+def _prefix_minima(
+    adjacency: Sequence[Sequence[int]],
+    costs: Sequence[Sequence[int]],
+    prefix: Sequence[tuple[int, int]],
 ) -> tuple[list[int], list[list[int]]]:
-    """Each row's least cost and its entries at that cost, each group read
-    once: its rows, shortest first, extend those of the row before."""
-    u = [0] * len(adjacency)
-    tight: list[list[int]] = [[]] * len(adjacency)
-    last = prev = None
-    for i in sorted(range(len(adjacency)), key=lambda i: (group[i], len(adjacency[i]))):
-        row, cost = adjacency[i], costs[i]
-        if group[i] != last:
-            last, low, reach, stop = group[i], 0, [], 0
-        elif tuple(row[:stop]) != tuple(adjacency[prev]) or (
-            cost is not costs[prev] and list(cost[:stop]) != list(costs[prev][:stop])
-        ):
-            raise ValueError(f"row {i} does not extend row {prev} of its group")
-        prev = i
-        part = cost[stop : len(row)]
+    """Each prefix's least cost and its entries at that cost, each row
+    read once: its prefixes, shortest first, extend the one before."""
+    u = [0] * len(prefix)
+    tight: list[list[int]] = [[]] * len(prefix)
+    last = None
+    for i in sorted(range(len(prefix)), key=prefix.__getitem__):
+        g, length = prefix[i]
+        row, cost = adjacency[g], costs[g]
+        if length > len(row):
+            raise ValueError(f"prefix {i} reaches past the end of row {g}")
+        if g != last:
+            last, low, reach, stop = g, 0, [], 0
+        part = cost[stop:length]
         if part:
             least = min(part)
             if not stop or least < low:
                 low, reach = least, []
             if least == low:
-                reach = reach + [j for j, c in zip(row[stop:], part) if c == low]
-            stop = len(row)
+                reach = reach + [j for j, c in zip(row[stop:length], part) if c == low]
+            stop = length
         u[i], tight[i] = low, reach
     return u, tight
 

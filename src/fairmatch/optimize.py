@@ -17,11 +17,12 @@ the chore, so each chore row lists n entries, one per agent: the agent's
 last slot that reaches it.  The agent's earlier slots follow that slot
 as a run (``after[s] = s - 1``), which the kernel reaches lazily.
 
-Goods: the rows are the real slots of the plain graph and the columns
-the goods, each taken at most once.  The slots of one agent reach nested
-prefixes of its best-first order at one cost per good, so they share one
-cost row over that order and form one kernel group, whose searches skip
-what a wider slot already offered.  The matching saturates the slots,
+Goods: the left vertices are the real slots of the plain graph and the
+columns the goods, each taken at most once.  The slots of one agent
+reach nested prefixes of its best-first order at one cost per good, so
+the kernel gets one row per agent, that order with its costs, and each
+slot as a prefix ``(agent, reach)`` of it; its searches skip what a
+wider slot of the agent already offered.  The matching saturates the slots,
 and every good it leaves free goes to an agent of cost ``floor[j]``.
 This is exact: real slots reach no dummy goods, so every perfect
 matching of the extended graph fills each real slot with a real good and
@@ -131,16 +132,14 @@ def _match_goods(
     """(good, agent) pairs of the cheapest matching that fills every real slot."""
     adjacency: list[tuple[int, ...]] = []
     costs: list[list[int]] = []
-    agent_of: list[int] = []
+    prefix: list[tuple[int, int]] = []
     for i, (best_first, reaches) in enumerate(slot_reaches(instance)):
         t = table[i]
-        cost = [t[j] - floor[j] for j in best_first]
-        for reach in reaches:
-            adjacency.append(best_first[:reach])
-            costs.append(cost)
-            agent_of.append(i)
-    for s, j in assignment_min_cost(adjacency, costs, instance.m, group=agent_of).pairs:
-        yield j, agent_of[s]
+        adjacency.append(best_first)
+        costs.append([t[j] - floor[j] for j in best_first])
+        prefix.extend((i, reach) for reach in reaches)
+    for s, j in assignment_min_cost(adjacency, costs, instance.m, prefix=prefix).pairs:
+        yield j, prefix[s][0]
 
 
 def _match_chores(

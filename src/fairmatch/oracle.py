@@ -205,7 +205,9 @@ def enumerate_side_perfect_matchings(
     ``saturate`` is ``"left"`` or ``"right"``.  Used as a brute-force
     oracle against the solvers and by :func:`matchings_agree_with`.  With
     a ``cap``, the search raises :class:`InstanceTooLarge` as soon as it
-    visits more than ``cap`` matchings.
+    visits more than ``cap`` matchings.  It saturates the vertices from
+    an explicit stack, narrowest neighbourhood first (ties by index): one
+    agent's neighbourhoods nest, so then no branch dead-ends.
     """
     if saturate == "left":
         neighbors = [list(row) for row in graph.adjacency]
@@ -216,26 +218,35 @@ def enumerate_side_perfect_matchings(
                 neighbors[j].append(i)
     else:
         raise ValueError("saturate must be 'left' or 'right'")
-    count = len(neighbors)
-    chosen: list[int] = []
-    visited = 0
+    order = sorted(range(len(neighbors)), key=lambda v: (len(neighbors[v]), v))
 
-    def backtrack(v: int) -> Iterator[Matching]:
-        nonlocal visited
-        if v == count:
-            visited += 1
-            if cap is not None and visited > cap:
-                raise InstanceTooLarge(f"side-perfect matchings exceed cap {cap}")
-            pairs = zip(chosen, range(count)) if saturate == "right" else enumerate(chosen)
-            yield Matching(pairs=tuple(sorted(pairs)))
-            return
-        for w in neighbors[v]:
-            if w not in chosen:
-                chosen.append(w)
-                yield from backtrack(v + 1)
-                chosen.pop()
+    def backtrack() -> Iterator[Matching]:
+        visited = 0
+        chosen: list[int] = []  # the partners of order[: len(chosen)]
+        used: set[int] = set()
+        stack: list[Iterator[int]] = []  # each vertex's untried neighbours
+        while True:
+            if len(chosen) == len(order):
+                visited += 1
+                if cap is not None and visited > cap:
+                    raise InstanceTooLarge(f"side-perfect matchings exceed cap {cap}")
+                pairs = zip(chosen, order) if saturate == "right" else zip(order, chosen)
+                yield Matching(pairs=tuple(sorted(pairs)))
+            else:
+                stack.append(iter(neighbors[order[len(chosen)]]))
+            while stack:  # the deepest vertex takes its next free neighbour
+                if len(chosen) == len(stack):
+                    used.discard(chosen.pop())
+                w = next((w for w in stack[-1] if w not in used), -1)
+                if w >= 0:
+                    chosen.append(w)
+                    used.add(w)
+                    break
+                stack.pop()
+            else:
+                return
 
-    return backtrack(0)
+    return backtrack()
 
 
 def matchings_agree_with(

@@ -1,5 +1,6 @@
-"""Ranked bipartite graphs built by hand, their rank profiles, and the
-min-cost kernel before its searches were cut short.
+"""Ranked bipartite graphs built by hand, their rank profiles, the
+min-cost kernel before its searches were cut short, and the kernel's
+prefix input written out as plain rows.
 
 The tests state the paper's rank-maximal construction on small graphs
 given as an edge-to-rank map; no command builds such a graph.
@@ -136,3 +137,16 @@ def uncut_assignment_min_cost(
             if i == s:
                 break
     return Matching(pairs=tuple(enumerate(mate)))
+
+
+def expand_prefixes(
+    adjacency: Sequence[Sequence[int]],
+    costs: Sequence[Sequence[int]],
+    prefix: Sequence[tuple[int, int]],
+) -> tuple[list[Sequence[int]], list[Sequence[int]]]:
+    """One row and one cost row per left vertex of
+    :func:`fairmatch.matching.assignment_min_cost` called with ``prefix``:
+    ``prefix[i] = (g, length)`` becomes ``adjacency[g][:length]`` at
+    ``costs[g][:length]``."""
+    rows = [adjacency[g][:length] for g, length in prefix]
+    return rows, [costs[g][:length] for g, length in prefix]

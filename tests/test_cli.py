@@ -345,6 +345,23 @@ def test_oracle_caps_the_matchings_it_enumerates(tmp_path, capsys):
     assert err == "error: side-perfect matchings exceed cap 300\n"
 
 
+@pytest.mark.parametrize("kind, m", [("goods", 1200), ("chores", 40)])
+def test_oracle_caps_one_agent_with_many_items(kind, m, tmp_path, capsys):
+    # 1^m = 1 allocation passes the n^m check.  Goods 1x1200 once recursed
+    # once per slot into a RecursionError (exit 1), and chores 1x40 searched
+    # dead ends for longer than 20 s; narrowest vertex first, one agent's
+    # neighbourhoods nest, so the search reaches the cap at once
+    path = tmp_path / "inst.json"
+    code, _, _ = run(
+        capsys, "gen", "--agents", "1", "--items", str(m), "--kind", kind,
+        "--seed", "1", "-o", str(path),
+    )
+    assert code == 0
+    code, out, err = run(capsys, "oracle", str(path), "--cap", "1000")
+    assert code == 2 and out == ""
+    assert err == "error: side-perfect matchings exceed cap 1000\n"
+
+
 # ---------------------------------------------------------------------------
 # error handling
 # ---------------------------------------------------------------------------

@@ -41,7 +41,13 @@ from fairmatch.oracle import (
     allocation_from_matching,
     enumerate_side_perfect_matchings,
 )
-from reference import max_rank, ranked_graph, signature, uncut_assignment_min_cost
+from reference import (
+    expand_prefixes,
+    max_rank,
+    ranked_graph,
+    signature,
+    uncut_assignment_min_cost,
+)
 
 
 def make(kind, items, agents):
@@ -672,72 +678,74 @@ def test_searches_cut_short_return_the_pairs_of_the_uncut_kernel():
 
 
 def random_nested_rows(rng, trial):
-    """Up to six groups share out a few rows fewer than the columns, as an
-    instance's agents share out its goods.  A group's rows list prefixes
-    of one column sequence, reaching at least as far as their place in
-    the group, and share one cost list in 0..5, so costs tie and reaches
-    may repeat; every sixth trial adds an empty row.  The rows are
-    shuffled, so a group's rows need not be adjacent.  Returns the rows,
-    their costs, their groups and the column count."""
+    """Up to six groups share out a few prefixes fewer than the columns,
+    as an instance's agents share out its goods.  Each group has one
+    column sequence and one cost list in 0..5, so costs tie; its prefixes
+    reach at least as far as their place in the group, and reaches may
+    repeat; every sixth trial adds an empty prefix.  The prefixes are
+    shuffled, so a group's prefixes need not be adjacent.  Returns the
+    sequences, their costs, the ``(group, reach)`` of each prefix and the
+    column count."""
     right = rng.randint(8, 24)
     left = right - rng.randint(0, 4)
     groups = rng.randint(1, 6)
-    rows = []
+    adjacency, costs, prefix = [], [], []
     for g in range(groups):
         sequence = rng.sample(range(right), rng.randint(right // 2, right))
-        cost = [rng.randint(0, 5) for _ in sequence]
+        adjacency.append(tuple(sequence))
+        costs.append([rng.randint(0, 5) for _ in sequence])
         for place in range(left // groups + (g < left % groups)):
-            reach = rng.randint(min(place + 1, len(sequence)), len(sequence))
-            rows.append((tuple(sequence[:reach]), cost, g))
+            prefix.append((g, rng.randint(min(place + 1, len(sequence)), len(sequence))))
     if trial % 6 == 0:
-        rows.append(((), [], 0))
-    rng.shuffle(rows)
-    adjacency, costs, group = map(list, zip(*rows))
-    return adjacency, costs, group, right
+        prefix.append((0, 0))
+    rng.shuffle(prefix)
+    return adjacency, costs, prefix, right
 
 
 def test_grouped_rows_return_the_pairs_of_the_ungrouped_and_uncut_kernels():
-    # a row that skips what a longer row of its group already offered
-    # changes no pop: the pairs are those of the kernel without groups,
-    # and of the uncut kernel given each cost row cut to its adjacency
-    # row, and all three raise NoPerfectMatching in the same cases
+    # a prefix that skips what a longer prefix of its row already offered
+    # changes no pop: the pairs are those of the kernel given each prefix
+    # written out as its own row, and of the uncut kernel given those
+    # rows, and all three raise NoPerfectMatching in the same cases
     rng = random.Random(79)
     outcomes = {"solved": 0, "none": 0}
     for trial in range(150):
-        adjacency, costs, group, right = random_nested_rows(rng, trial)
-        cut = [cost[: len(row)] for row, cost in zip(adjacency, costs)]
+        adjacency, costs, prefix, right = random_nested_rows(rng, trial)
+        rows, row_costs = expand_prefixes(adjacency, costs, prefix)
+        calls = ((adjacency, costs, right, None, prefix), (rows, row_costs, right))
         try:
-            expected = uncut_assignment_min_cost(adjacency, cut, right)
+            expected = uncut_assignment_min_cost(rows, row_costs, right)
         except NoPerfectMatching:
-            for by in (group, None):
+            for args in calls:
                 with pytest.raises(NoPerfectMatching):
-                    assignment_min_cost(adjacency, costs, right, group=by)
+                    assignment_min_cost(*args)
             outcomes["none"] += 1
             continue
-        for by in (group, None):
-            match = assignment_min_cost(adjacency, costs, right, group=by)
-            assert match.pairs == expected.pairs, (trial, by)
+        for args in calls:
+            assert assignment_min_cost(*args).pairs == expected.pairs, (trial, len(args))
         outcomes["solved"] += 1
     assert outcomes["solved"] >= 80 and outcomes["none"] >= 40, outcomes
 
 
 def test_a_cost_row_shorter_than_its_adjacency_row_is_refused():
     # zip would drop row 0's edge to column 1 and leave both rows only
-    # column 0; longer cost rows stay legal, their extra entries unread
+    # column 0; a longer cost row is refused too, and a missing one, which
+    # would leave row 1 out of the matching
     with pytest.raises(ValueError, match="cost row 0"):
         assignment_min_cost([[0, 1], [0]], [[5], [1]], 2)
-    match = assignment_min_cost([[0, 1], [0]], [[5, 2, 0], [1, 9]], 2)
+    with pytest.raises(ValueError, match="cost row 1"):
+        assignment_min_cost([[0, 1], [0]], [[5, 2], [1, 9]], 2)
+    with pytest.raises(ValueError, match="1 cost rows for 2 adjacency rows"):
+        assignment_min_cost([[0, 1], [0]], [[5, 2]], 2)
+    match = assignment_min_cost([[0, 1], [0]], [[5, 2], [1]], 2)
     assert match.pairs == ((0, 1), (1, 0))
 
 
-def test_rows_of_a_group_that_do_not_nest_are_refused():
-    # a search would skip offers it needs, and could then loop forever;
-    # equal cost lists need not be one list
-    with pytest.raises(ValueError, match="row 1 does not extend row 0"):
-        assignment_min_cost([[0], [1, 0]], [[1], [1, 2]], 2, group=[0, 0])
-    with pytest.raises(ValueError, match="row 1 does not extend row 0"):
-        assignment_min_cost([[0], [0, 1]], [[1], [2, 2]], 2, group=[0, 0])
-    match = assignment_min_cost([[0], (0, 1)], [[1], [1, 0]], 2, group=[0, 0])
+def test_a_prefix_that_reaches_past_its_row_is_refused():
+    # prefix 1 would reach a third column that row 0 does not list
+    with pytest.raises(ValueError, match="prefix 1 reaches past the end of row 0"):
+        assignment_min_cost([[0, 1]], [[1, 0]], 3, prefix=[(0, 1), (0, 3)])
+    match = assignment_min_cost([[0, 1]], [[1, 0]], 2, prefix=[(0, 1), (0, 2)])
     assert match.pairs == ((0, 0), (1, 1))
 
 

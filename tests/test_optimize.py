@@ -6,7 +6,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from reference import uncut_assignment_min_cost
+from reference import expand_prefixes, uncut_assignment_min_cost
 from scaled_assignment import scaled_assignment
 
 import fairmatch.optimize
@@ -207,9 +207,9 @@ def record_kernel(monkeypatch):
     """Record each call of the kernel from ``optimize`` with its result."""
     calls = []
 
-    def record(adjacency, costs, right_count, after=None, group=None):
-        match = assignment_min_cost(adjacency, costs, right_count, after, group)
-        calls.append(([list(row) for row in adjacency], right_count, after, group, match))
+    def record(adjacency, costs, right_count, after=None, prefix=None):
+        match = assignment_min_cost(adjacency, costs, right_count, after, prefix)
+        calls.append(([list(row) for row in adjacency], right_count, after, prefix, match))
         return match
 
     monkeypatch.setattr(fairmatch.optimize, "assignment_min_cost", record)
@@ -220,10 +220,10 @@ def record_kernel(monkeypatch):
 def test_kernel_columns_are_the_transposed_plain_graph(kind, monkeypatch):
     # chores: each item row optimize hands the kernel lists one slot per
     # agent, and those slots expanded through their runs are the plain
-    # graph's slots that reach the chore.  goods: the kernel's rows are the
-    # plain graph's slot rows, in slot order, each grouped by its agent,
-    # its columns the goods, and every column its own run.  The graph
-    # stays the reference
+    # graph's slots that reach the chore.  goods: the kernel's prefixes are
+    # the plain graph's slot rows, in slot order, each a prefix of its
+    # agent's row, its columns the goods, and every column its own run.
+    # The graph stays the reference
     calls = record_kernel(monkeypatch)
     for n, m, seed in SWEEP:
         inst = generate_instance(n, m, kind, seed)
@@ -232,16 +232,16 @@ def test_kernel_columns_are_the_transposed_plain_graph(kind, monkeypatch):
         allocation, _ = optimize_allocation(inst, CostSpec.scaled(values))
         assert check_allocation(inst, allocation).passes
         graph = build_allocation_graph(inst)
-        (adjacency, right_count, after, group, _), = calls
+        (adjacency, right_count, after, prefix, _), = calls
         calls.clear()
         if kind == "goods":
             rows = [set(row) for row in graph.adjacency]
-            assert [set(row) for row in adjacency] == rows, (n, m, seed)
+            assert [set(adjacency[g][:length]) for g, length in prefix] == rows, (n, m, seed)
             assert right_count == m, (n, m, seed)
             assert after is None, (n, m, seed)
-            assert group == [slot.agent for slot in graph.slots], (n, m, seed)
+            assert [g for g, _ in prefix] == [slot.agent for slot in graph.slots], (n, m, seed)
             continue
-        assert group is None, (n, m, seed)
+        assert prefix is None, (n, m, seed)
         columns = [set() for _ in range(m)]
         for s, row in enumerate(graph.adjacency):
             for j in row:
@@ -394,13 +394,14 @@ def test_optimum_equals_the_lp_relaxation(kind, family):
 def test_kernel_pairs_equal_the_uncut_kernel(kind, monkeypatch):
     # every kernel call optimize makes returns the pairs of the kernel
     # whose searches push every improved distance and scan every row in
-    # full, given each cost row cut to its adjacency row
+    # full, given each slot's prefix written out as its own row
     compared = []
 
-    def both(adjacency, costs, right_count, after=None, group=None):
-        match = assignment_min_cost(adjacency, costs, right_count, after, group)
-        cut = [cost[: len(row)] for row, cost in zip(adjacency, costs)]
-        expected = uncut_assignment_min_cost(adjacency, cut, right_count, after)
+    def both(adjacency, costs, right_count, after=None, prefix=None):
+        match = assignment_min_cost(adjacency, costs, right_count, after, prefix)
+        if prefix is not None:
+            adjacency, costs = expand_prefixes(adjacency, costs, prefix)
+        expected = uncut_assignment_min_cost(adjacency, costs, right_count, after)
         assert match.pairs == expected.pairs
         compared.append(len(match))
         return match
@@ -421,7 +422,7 @@ def test_searches_push_at_most_half_of_the_uncut_kernel(direction, monkeypatch):
     # a count, not a clock: the kernel that pushed every improved distance
     # put 3,902 entries on its heaps (pushed or heapified) for 462 pops
     # here when minimizing and 4,161 for 666 when maximizing; the searches
-    # that push only what can pop before they end put 1,169 and 1,342
+    # that push only what can pop before they end put 1,312 and 1,467
     from fairmatch import matching
 
     counts = {"push": 0, "pop": 0}
@@ -480,11 +481,13 @@ def test_grouped_searches_scan_at_most_half_of_the_ungrouped_kernel(monkeypatch)
 
     counts = {}
 
-    def both(adjacency, costs, right_count, after=None, group=None):
+    def both(adjacency, costs, right_count, after=None, prefix=None):
         rows = [Counted(row) for row in adjacency]
-        for name, by in (("grouped", group), ("ungrouped", None)):
-            match = assignment_min_cost(rows, costs, right_count, after, by)
-            counts[name] = scanned[0]
+        match = assignment_min_cost(rows, costs, right_count, after, prefix)
+        counts["grouped"] = scanned[0]
+        rows, costs = expand_prefixes(rows, costs, prefix)
+        assert assignment_min_cost(rows, costs, right_count, after).pairs == match.pairs
+        counts["ungrouped"] = scanned[0]
         return match
 
     monkeypatch.setattr(matching, "max_matching", tight_start)
