@@ -3,8 +3,8 @@
 This module bundles every matching primitive the library needs:
 
 * maximum-cardinality bipartite matching: Hopcroft-Karp over plain
-  adjacency rows, in pure Python, from scratch or grown from a starting
-  matching, serving the rows of each decomposition round;
+  adjacency rows, in pure Python, one routine that grows a matching in
+  place, serving the kernel's tight start and every decomposition round;
 * one exact minimum-cost matching kernel over integer cost rows: a
   maximum matching of the edges left tight by row reduction, then
   successive shortest paths from the rows it leaves free, with Dijkstra
@@ -21,8 +21,8 @@ This module bundles every matching primitive the library needs:
   dictatorship over the best-first slot prefixes, narrowest first, with
   no graph built;
 * Birkhoff-von Neumann decomposition of exact doubly stochastic matrices,
-  given as sparse ``{column: int}`` rows over one denominator, each
-  round's matching grown from the last round's permutation.
+  given as sparse ``{column: int}`` rows over one denominator, one
+  matching kept across the rounds and regrown where each round freed it.
 
 The brute-force enumeration of side-perfect matchings, and its
 cross-check against the enumerated fair allocations, are in
@@ -91,27 +91,36 @@ class PickingSequence:
 # Maximum-cardinality matching
 # ---------------------------------------------------------------------------
 
-def max_matching(
-    adjacency: Sequence[Iterable[int]],
-    right_count: int,
-    start: Sequence[int] | None = None,
-) -> Matching:
+def max_matching(adjacency: Sequence[Iterable[int]], right_count: int) -> Matching:
     """Maximum-cardinality matching by Hopcroft-Karp; deterministic.
 
     Left vertex ``i`` is adjacent to the right vertices that
-    ``adjacency[i]`` yields, each below ``right_count``, and every scan
-    of a row reads them in the order it yields them.  The rows are only
-    read, so the ``{column: entry}`` rows of :func:`bvn_decompose` serve
-    as they are.
+    ``adjacency[i]`` yields, each in ``0 .. right_count - 1``; any other
+    raises :class:`ValueError`.  The phases are :func:`_augment`'s, from
+    the empty matching, so the first phase is the greedy pass.
+    """
+    for i, row in enumerate(adjacency):
+        for j in row:
+            if not 0 <= j < right_count:
+                raise ValueError(f"row {i} lists {j}, not a right vertex below {right_count}")
+    mate = [-1] * len(adjacency)
+    _augment(adjacency, mate, [-1] * right_count)
+    return Matching(pairs=tuple((i, j) for i, j in enumerate(mate) if j >= 0))
 
-    ``start``, if given, is a matching to grow: ``start[i]`` is the right
-    vertex matched to left vertex ``i``, or -1.  It is copied, not
-    mutated; each of its pairs must be an edge, and a right vertex it
-    repeats (or one outside ``0 .. right_count - 1``) raises
-    :class:`ValueError`.  Augmenting paths only rematch vertices along
-    them, so every start pair no augmenting path needs is kept, a
-    maximum start comes back unchanged, and each round of the
-    decomposition re-augments only the rows its last round freed.
+
+def _augment(adjacency: Sequence[Iterable[int]], mate: list[int], owner: list[int]) -> int:
+    """Grow a matching to a maximum one in place by Hopcroft-Karp; return its size.
+
+    ``mate[i]`` is the right vertex matched to left vertex ``i``, or -1,
+    and ``owner`` is its inverse over the right vertices; the caller
+    keeps the two consistent.  Left vertex ``i`` is adjacent to the right
+    vertices that ``adjacency[i]`` yields, each below ``len(owner)``, and
+    every scan of a row reads them in the order it yields them.  The rows
+    are only read, so the ``{column: entry}`` rows of
+    :func:`bvn_decompose` serve as they are.  Augmenting paths only
+    rematch vertices along them, so every pair no augmenting path needs
+    is kept, a maximum matching comes back unchanged, and each round of
+    the decomposition re-augments only the rows its last round freed.
 
     Each phase layers the left vertices by a BFS from the free ones, in
     index order; ``up`` is the first layer whose scan reaches a free right
@@ -122,30 +131,14 @@ def max_matching(
     an earlier layer pushes, in row order, every row on the next layer
     that this search has not visited.  Every popped vertex but the one
     that ends the search leaves the layering for the rest of the phase.
-    With no start, the first phase is the greedy pass.  The lotteries
-    depend on which perfect matching each round of :func:`bvn_decompose`
-    finds, so a change to this order changes them.
+    The lotteries depend on which perfect matching each round of
+    :func:`bvn_decompose` finds, so a change to this order changes them.
     """
-    left = len(adjacency)
+    left = len(mate)
     inf = left + 1
-    mate = [-1] * left  # right vertex matched to each left vertex
-    owner = [-1] * right_count  # left vertex matched to each right one
-    size = 0
-    if start is not None:
-        if len(start) != left:
-            raise ValueError(f"start has {len(start)} entries for {left} left vertices")
-        for i, j in enumerate(start):
-            if j == -1:
-                continue
-            if not 0 <= j < right_count:
-                raise ValueError(f"start matches left vertex {i} to {j}, not a right vertex")
-            if owner[j] >= 0:
-                raise ValueError(f"start matches right vertex {j} twice")
-            mate[i] = j
-            owner[j] = i
-            size += 1
+    size = left - mate.count(-1)
     # a matching that covers one side is maximum: skip the last, empty phase
-    while size < min(left, right_count):
+    while size < min(left, len(owner)):
         free = [i for i in range(left) if mate[i] < 0]
         dist = [inf] * (left + 1)  # dist[-1], read for a free right vertex, stays inf
         for i in free:
@@ -193,7 +186,7 @@ def max_matching(
                     i = parent[i]
                 size += 1
                 break
-    return Matching(pairs=tuple((i, j) for i, j in enumerate(mate) if j >= 0))
+    return size
 
 
 # ---------------------------------------------------------------------------
@@ -240,9 +233,10 @@ def assignment_min_cost(
     reduced cost ``c - u[i] - v[j]`` is nonnegative and each row's
     cheapest edges are tight (reduced cost zero).  The tight start of
     Jonker and Volgenant ("A shortest augmenting path algorithm for dense
-    and sparse linear assignment problems", Computing 38, 1987) begins
-    from a maximum matching (:func:`max_matching`) of the tight edges,
-    each tight entry expanded through its run, tight too while ``v`` = 0.
+    and sparse linear assignment problems", Computing 38, 1987) grows the
+    kernel's own ``mate`` and ``owner`` with :func:`_augment`, from empty,
+    to a maximum matching of the tight edges, each tight entry expanded
+    through its run, tight too while ``v`` = 0.
     The duals stay feasible and complementary: every matched edge is
     tight, every reduced cost is nonnegative, and every right vertex
     still has ``v`` = 0, the value an unmatched one must have.  So the
@@ -317,9 +311,7 @@ def assignment_min_cost(
     v = [0] * right_count
     owner = [-1] * right_count
     mate = [-1] * len(u)
-    for i, j in max_matching(tight, right_count).pairs:
-        mate[i] = j
-        owner[j] = i
+    _augment(tight, mate, owner)
     for s in range(len(u)):
         if mate[s] >= 0:
             continue
@@ -593,9 +585,10 @@ def bvn_decompose(
     Each round finds a perfect matching on the support (one exists by
     Hall's condition while the matrix stays doubly stochastic), peels off
     the minimum entry along it, and repeats; at least one entry is zeroed
-    per round, so the part count is at most ``p*p - p + 2``.  A round
-    starts :func:`max_matching` from the last round's permutation minus
-    the entries it zeroed, so only the freed rows are re-augmented.
+    per round, so the part count is at most ``p*p - p + 2``.  One
+    matching lives across the rounds: each round grows it in place with
+    :func:`_augment` to a permutation and frees the entries it zeroes, so
+    only the freed rows are re-augmented.
 
     The columns are ordered and validated once, and each row is kept as a
     ``{column: int}`` map of its positive entries, so a round costs time
@@ -606,7 +599,7 @@ def bvn_decompose(
     p = len(rows)
     # built in ascending column order and only ever shrunk, so the keys of
     # every row stay sorted and each round hands the rows to
-    # :func:`max_matching` as they are
+    # :func:`_augment` as they are
     work: list[dict] = []
     for row in rows:
         entries = {}
@@ -631,23 +624,21 @@ def bvn_decompose(
     bound = p * p - p + 2
     parts: list[tuple[int, tuple[int, ...]]] = []
     remaining = denominator
-    start = None
+    mate, owner = [-1] * p, [-1] * p
     while remaining > 0:
-        match = max_matching(work, p, start)
-        if len(match) != p:
+        if _augment(work, mate, owner) != p:
             raise InternalError(
                 "doubly stochastic support lost its perfect matching"
             )
-        perm = tuple([j for _, j in match.pairs])
+        perm = tuple(mate)
         weight = min(map(dict.__getitem__, work, perm), default=remaining)
-        start = list(perm)
         for i, j in enumerate(perm):
             rest = work[i][j] - weight
             if rest:
                 work[i][j] = rest
             else:
                 del work[i][j]
-                start[i] = -1
+                mate[i] = owner[j] = -1
         parts.append((weight, perm))
         if len(parts) > bound:
             raise InternalError(

@@ -27,6 +27,7 @@ from fairmatch.matching import (
     NoPerfectMatching,
     NotDoublyStochastic,
     NotRankMaximal,
+    _augment,
     assignment_min_cost,
     bvn_decompose,
     extract_picking_sequence,
@@ -205,15 +206,16 @@ def test_max_matching_pairs_equal_scipy_on_bvn_support_graphs(monkeypatch):
 
     supports = []
 
-    def recording(adjacency, right_count, start=None):
+    def recording(adjacency, mate, owner):
         # bvn_decompose shrinks its rows after each call: keep them as called
-        supports.append((tuple(map(tuple, adjacency)), right_count))
-        return max_matching(adjacency, right_count, start)
+        supports.append((tuple(map(tuple, adjacency)), len(owner)))
+        return _augment(adjacency, mate, owner)
 
-    monkeypatch.setattr(matching, "max_matching", recording)
+    monkeypatch.setattr(matching, "_augment", recording)
     for seed, (n, m) in enumerate([(3, 9), (4, 12), (5, 20), (8, 40)]):
         for kind in ("goods", "chores"):
             uniform_lottery(generate_instance(n, m, kind, seed))
+    monkeypatch.undo()  # max_matching runs _augment too: record no more
     assert len(supports) >= 100
     for adjacency, right_count in supports:
         assert max_matching(adjacency, right_count).pairs == scipy_pairs(adjacency, right_count)
@@ -254,6 +256,21 @@ def arbitrary_matching(rng, adjacency, right_count):
     return pairs
 
 
+def grown(adjacency, right_count, start):
+    """The matching `_augment` grows from `start` (left -> right, or -1),
+    on copies: its size must count the pairs and `owner` invert `mate`."""
+    mate = list(start)
+    owner = [-1] * right_count
+    for i, j in enumerate(mate):
+        if j >= 0:
+            owner[j] = i
+    size = _augment(adjacency, mate, owner)
+    pairs = tuple((i, j) for i, j in enumerate(mate) if j >= 0)
+    assert size == len(pairs) == right_count - owner.count(-1)
+    assert all(owner[j] == i for i, j in pairs)
+    return Matching(pairs=pairs)
+
+
 def test_max_matching_from_a_start_reaches_the_maximum_size():
     rng = random.Random(53)
     seen = dict.fromkeys(
@@ -281,7 +298,7 @@ def test_max_matching_from_a_start_reaches_the_maximum_size():
         else:
             seen["complete start" if kept == len(base) else "partial start"] += 1
         frozen = list(start)
-        got = max_matching(adjacency, right, start)
+        got = grown(adjacency, right, start)
         assert start == frozen, trial
         assert len(got) == len(best), trial
         assert all(j in adjacency[i] for i, j in got.pairs), trial
@@ -316,23 +333,21 @@ def test_max_matching_keeps_the_start_pairs_no_augmenting_path_needs():
                 a_start[i] = j
         adjacency = a + [[a_right + j for j in row] for row in b]
         start = a_start + b_start
-        got = max_matching(adjacency, a_right + b_right, start).left_map()
+        got = grown(adjacency, a_right + b_right, start).left_map()
         assert all(got.get(a_left + i) == j for i, j in enumerate(b_start) if j >= 0), trial
         assert len(got) == len(max_matching(adjacency, a_right + b_right)), trial
 
 
-def test_max_matching_rejects_a_bad_start():
-    adjacency = ((0, 1), (0, 1), (1, 2))
-    with pytest.raises(ValueError, match="twice"):
-        max_matching(adjacency, 3, [1, 1, -1])
-    with pytest.raises(ValueError):
-        max_matching(adjacency, 3, [0, 3, -1])
-    with pytest.raises(ValueError):
-        max_matching(adjacency, 3, [0, -2, -1])
-    with pytest.raises(ValueError):
-        max_matching(adjacency, 3, [0, 1])
-    # a valid start, as a tuple, is grown to a maximum matching
-    assert len(max_matching(adjacency, 3, (1, -1, -1))) == 3
+def test_max_matching_rejects_a_column_outside_its_right_side():
+    # unchecked, -1 would read owner[-1], the last right vertex's owner,
+    # and 5 would index past the end of owner
+    with pytest.raises(ValueError, match="row 0 lists -1"):
+        max_matching([[-1]], 1)
+    with pytest.raises(ValueError, match="row 0 lists -1"):
+        max_matching([[0, -1], [0]], 2)
+    with pytest.raises(ValueError, match="row 0 lists 5, not a right vertex below 2"):
+        max_matching([[5]], 2)
+    assert max_matching([[0, 1], [0]], 2).pairs == ((0, 1), (1, 0))
 
 
 # ---------------------------------------------------------------------------
@@ -564,12 +579,12 @@ def test_tie_heavy_assignment_agrees_with_networkx(monkeypatch):
 
     covered = []
 
-    def recording(adjacency, right_count, start=None):
-        found = max_matching(adjacency, right_count, start)
-        covered.append(len(found) / len(adjacency))
-        return found
+    def recording(adjacency, mate, owner):
+        size = _augment(adjacency, mate, owner)
+        covered.append(size / len(adjacency))
+        return size
 
-    monkeypatch.setattr(matching, "max_matching", recording)
+    monkeypatch.setattr(matching, "_augment", recording)
     rng = random.Random(59)
     solved = 0
     for trial in range(48):
@@ -1189,16 +1204,16 @@ def test_bvn_random_exact_reconstruction():
 
 def dense_rational_bvn(matrix):
     """The decomposition on a dense matrix of rationals, one support graph
-    per round, each round's matching started from the last round's
-    permutation minus the entries it zeroed: the reference the scaled
-    sparse version must reproduce."""
+    per round, each round's matching grown by `_augment` from the last
+    round's permutation minus the entries it zeroed: the reference the
+    scaled sparse version must reproduce."""
     p = len(matrix)
     work = [[Fraction(x) for x in row] for row in matrix]
     parts = []
-    start = None
+    start = [-1] * p
     while any(x for row in work for x in row):
         support = [[j for j in range(p) if work[i][j] > 0] for i in range(p)]
-        left = max_matching(support, p, start).left_map()
+        left = grown(support, p, start).left_map()
         perm = tuple(left[i] for i in range(p))
         weight = min(work[i][perm[i]] for i in range(p))
         for i in range(p):

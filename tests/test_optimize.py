@@ -472,12 +472,14 @@ def test_grouped_searches_scan_at_most_half_of_the_ungrouped_kernel(monkeypatch)
             got = tuple.__getitem__(self, key)
             return Counted(got) if isinstance(key, slice) else got
 
-    max_matching = matching.max_matching
+    augment = matching._augment
+    starts = [0]
 
-    def tight_start(adjacency, right_count, start=None):
-        found = max_matching(adjacency, right_count, start)
+    def tight_start(adjacency, mate, owner):
+        size = augment(adjacency, mate, owner)
         scanned[0] = 0
-        return found
+        starts[0] += 1
+        return size
 
     counts = {}
 
@@ -490,10 +492,11 @@ def test_grouped_searches_scan_at_most_half_of_the_ungrouped_kernel(monkeypatch)
         counts["ungrouped"] = scanned[0]
         return match
 
-    monkeypatch.setattr(matching, "max_matching", tight_start)
+    monkeypatch.setattr(matching, "_augment", tight_start)
     monkeypatch.setattr(fairmatch.optimize, "assignment_min_cost", both)
     inst = generate_instance(20, 100, "goods", 43)
     optimize_allocation(inst, CostSpec.scaled(benchmark_costs(20, 100), MAXIMIZE))
+    assert starts[0] == 2  # one tight start per kernel call, each restarting the count
     assert 2 * counts["grouped"] <= counts["ungrouped"], counts
 
 
