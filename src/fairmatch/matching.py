@@ -91,32 +91,19 @@ class PickingSequence:
 # Maximum-cardinality matching
 # ---------------------------------------------------------------------------
 
-def max_matching(adjacency: Sequence[Iterable[int]], right_count: int) -> Matching:
-    """Maximum-cardinality matching by Hopcroft-Karp; deterministic.
-
-    Left vertex ``i`` is adjacent to the right vertices that
-    ``adjacency[i]`` yields, each in ``0 .. right_count - 1``; any other
-    raises :class:`ValueError`.  The phases are :func:`_augment`'s, from
-    the empty matching, so the first phase is the greedy pass.
-    """
-    for i, row in enumerate(adjacency):
-        for j in row:
-            if not 0 <= j < right_count:
-                raise ValueError(f"row {i} lists {j}, not a right vertex below {right_count}")
-    mate = [-1] * len(adjacency)
-    _augment(adjacency, mate, [-1] * right_count)
-    return Matching(pairs=tuple((i, j) for i, j in enumerate(mate) if j >= 0))
-
-
-def _augment(adjacency: Sequence[Iterable[int]], mate: list[int], owner: list[int]) -> int:
+def max_matching(adjacency: Sequence[Iterable[int]], mate: list[int], owner: list[int]) -> int:
     """Grow a matching to a maximum one in place by Hopcroft-Karp; return its size.
 
     ``mate[i]`` is the right vertex matched to left vertex ``i``, or -1,
     and ``owner`` is its inverse over the right vertices; the caller
-    keeps the two consistent.  Left vertex ``i`` is adjacent to the right
-    vertices that ``adjacency[i]`` yields, each below ``len(owner)``, and
-    every scan of a row reads them in the order it yields them.  The rows
-    are only read, so the ``{column: entry}`` rows of
+    keeps the two consistent, and passes two lists of -1 to match from
+    scratch.  Left vertex ``i`` is adjacent to the right vertices that
+    ``adjacency[i]`` yields, each in ``0 .. len(owner) - 1``.  From
+    scratch, any other raises :class:`ValueError`; a caller growing a
+    matching vouches for its rows, as for ``mate`` and ``owner``, so the
+    check costs the decomposition one pass, not one per round.  Every
+    scan of a row reads the right vertices in the order it yields them.
+    The rows are only read, so the ``{column: entry}`` rows of
     :func:`bvn_decompose` serve as they are.  Augmenting paths only
     rematch vertices along them, so every pair no augmenting path needs
     is kept, a maximum matching comes back unchanged, and each round of
@@ -131,14 +118,21 @@ def _augment(adjacency: Sequence[Iterable[int]], mate: list[int], owner: list[in
     an earlier layer pushes, in row order, every row on the next layer
     that this search has not visited.  Every popped vertex but the one
     that ends the search leaves the layering for the rest of the phase.
-    The lotteries depend on which perfect matching each round of
-    :func:`bvn_decompose` finds, so a change to this order changes them.
+    From scratch, the first phase is the greedy pass.  The lotteries
+    depend on which perfect matching each round of :func:`bvn_decompose`
+    finds, so a change to this order changes them.
     """
-    left = len(mate)
+    left, right = len(mate), len(owner)
     inf = left + 1
     size = left - mate.count(-1)
+    if not size and (  # the column check reads every entry in C
+        min(chain.from_iterable(adjacency), default=0) < 0
+        or max(chain.from_iterable(adjacency), default=-1) >= right
+    ):
+        i, j = next((i, j) for i, row in enumerate(adjacency) for j in row if not 0 <= j < right)
+        raise ValueError(f"row {i} lists {j}, not a right vertex below {right}")
     # a matching that covers one side is maximum: skip the last, empty phase
-    while size < min(left, len(owner)):
+    while size < min(left, right):
         free = [i for i in range(left) if mate[i] < 0]
         dist = [inf] * (left + 1)  # dist[-1], read for a free right vertex, stays inf
         for i in free:
@@ -234,9 +228,9 @@ def assignment_min_cost(
     cheapest edges are tight (reduced cost zero).  The tight start of
     Jonker and Volgenant ("A shortest augmenting path algorithm for dense
     and sparse linear assignment problems", Computing 38, 1987) grows the
-    kernel's own ``mate`` and ``owner`` with :func:`_augment`, from empty,
-    to a maximum matching of the tight edges, each tight entry expanded
-    through its run, tight too while ``v`` = 0.
+    kernel's own ``mate`` and ``owner`` with :func:`max_matching`, from
+    empty, to a maximum matching of the tight edges, each tight entry
+    expanded through its run, tight too while ``v`` = 0.
     The duals stay feasible and complementary: every matched edge is
     tight, every reduced cost is nonnegative, and every right vertex
     still has ``v`` = 0, the value an unmatched one must have.  So the
@@ -311,7 +305,7 @@ def assignment_min_cost(
     v = [0] * right_count
     owner = [-1] * right_count
     mate = [-1] * len(u)
-    _augment(tight, mate, owner)
+    max_matching(tight, mate, owner)
     for s in range(len(u)):
         if mate[s] >= 0:
             continue
@@ -587,8 +581,8 @@ def bvn_decompose(
     the minimum entry along it, and repeats; at least one entry is zeroed
     per round, so the part count is at most ``p*p - p + 2``.  One
     matching lives across the rounds: each round grows it in place with
-    :func:`_augment` to a permutation and frees the entries it zeroes, so
-    only the freed rows are re-augmented.
+    :func:`max_matching` to a permutation and frees the entries it
+    zeroes, so only the freed rows are re-augmented.
 
     The columns are ordered and validated once, and each row is kept as a
     ``{column: int}`` map of its positive entries, so a round costs time
@@ -599,7 +593,7 @@ def bvn_decompose(
     p = len(rows)
     # built in ascending column order and only ever shrunk, so the keys of
     # every row stay sorted and each round hands the rows to
-    # :func:`_augment` as they are
+    # :func:`max_matching` as they are
     work: list[dict] = []
     for row in rows:
         entries = {}
@@ -626,7 +620,7 @@ def bvn_decompose(
     remaining = denominator
     mate, owner = [-1] * p, [-1] * p
     while remaining > 0:
-        if _augment(work, mate, owner) != p:
+        if max_matching(work, mate, owner) != p:
             raise InternalError(
                 "doubly stochastic support lost its perfect matching"
             )

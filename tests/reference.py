@@ -75,9 +75,7 @@ def uncut_assignment_min_cost(
                 reach.append(j)
                 j = after[j]
         tight.append(reach)
-    for i, j in max_matching(tight, right_count).pairs:
-        mate[i] = j
-        owner[j] = i
+    max_matching(tight, mate, owner)
     for s in range(len(adjacency)):
         if mate[s] >= 0:
             continue

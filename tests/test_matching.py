@@ -27,7 +27,6 @@ from fairmatch.matching import (
     NoPerfectMatching,
     NotDoublyStochastic,
     NotRankMaximal,
-    _augment,
     assignment_min_cost,
     bvn_decompose,
     extract_picking_sequence,
@@ -129,22 +128,38 @@ def all_perfect_matchings(graph):
 # maximum matching
 # ---------------------------------------------------------------------------
 
+def grown(adjacency, right_count, start=None):
+    """The matching `max_matching` grows from `start` (left -> right, or
+    -1; from scratch with no start), on copies: its size must count the
+    pairs and `owner` invert `mate`."""
+    mate = [-1] * len(adjacency) if start is None else list(start)
+    owner = [-1] * right_count
+    for i, j in enumerate(mate):
+        if j >= 0:
+            owner[j] = i
+    size = max_matching(adjacency, mate, owner)
+    pairs = tuple((i, j) for i, j in enumerate(mate) if j >= 0)
+    assert size == len(pairs) == right_count - owner.count(-1)
+    assert all(owner[j] == i for i, j in pairs)
+    return Matching(pairs=pairs)
+
+
 def test_max_matching_e1_saturates_chores():
     graph = build_allocation_graph(e1())
-    match = max_matching(graph.adjacency, graph.right_count)
+    match = grown(graph.adjacency, graph.right_count)
     assert len(match) == 3
     assert {j for _, j in match.pairs} == {0, 1, 2}
 
 
 def test_max_matching_empty_graph():
     graph = ranked_graph(["l0"], ["r0"], {})
-    assert max_matching(graph.adjacency, graph.right_count).pairs == ()
+    assert grown(graph.adjacency, graph.right_count).pairs == ()
 
 
 def test_max_matching_complete_graph():
     edges = {(i, j): 1 for i in range(3) for j in range(3)}
     graph = ranked_graph(["x", "y", "z"], ["u", "v", "w"], edges)
-    assert len(max_matching(graph.adjacency, graph.right_count)) == 3
+    assert len(grown(graph.adjacency, graph.right_count)) == 3
 
 
 def test_max_matching_equals_brute_force():
@@ -152,7 +167,7 @@ def test_max_matching_equals_brute_force():
     for _ in range(40):
         left, right = rng.randint(0, 8), rng.randint(0, 8)
         graph = random_ranked_graph(rng, left, right, density=rng.uniform(0.2, 0.9))
-        match = max_matching(graph.adjacency, graph.right_count)
+        match = grown(graph.adjacency, graph.right_count)
         assert len(match) == brute_force_max_matching_size(graph)
 
 
@@ -189,10 +204,10 @@ def test_max_matching_pairs_equal_scipy_on_random_graphs():
             for _ in range(left)
         )
         expected = scipy_pairs(adjacency, right)
-        assert max_matching(adjacency, right).pairs == expected, trial
+        assert grown(adjacency, right).pairs == expected, trial
         # the rows are only read in order, so the keys of a dict serve too
         rows = [dict.fromkeys(row) for row in adjacency]
-        assert max_matching(rows, right).pairs == expected, trial
+        assert grown(rows, right).pairs == expected, trial
         shapes["left < right"] += left < right
         shapes["left > right"] += left > right
         shapes["empty rows"] += any(not row for row in adjacency) and density > 0
@@ -209,16 +224,15 @@ def test_max_matching_pairs_equal_scipy_on_bvn_support_graphs(monkeypatch):
     def recording(adjacency, mate, owner):
         # bvn_decompose shrinks its rows after each call: keep them as called
         supports.append((tuple(map(tuple, adjacency)), len(owner)))
-        return _augment(adjacency, mate, owner)
+        return max_matching(adjacency, mate, owner)
 
-    monkeypatch.setattr(matching, "_augment", recording)
+    monkeypatch.setattr(matching, "max_matching", recording)
     for seed, (n, m) in enumerate([(3, 9), (4, 12), (5, 20), (8, 40)]):
         for kind in ("goods", "chores"):
             uniform_lottery(generate_instance(n, m, kind, seed))
-    monkeypatch.undo()  # max_matching runs _augment too: record no more
     assert len(supports) >= 100
     for adjacency, right_count in supports:
-        assert max_matching(adjacency, right_count).pairs == scipy_pairs(adjacency, right_count)
+        assert grown(adjacency, right_count).pairs == scipy_pairs(adjacency, right_count)
 
 
 def test_max_matching_size_agrees_with_networkx_beyond_brute_force():
@@ -236,7 +250,7 @@ def test_max_matching_size_agrees_with_networkx_beyond_brute_force():
             (("l", i), ("r", j)) for i, row in enumerate(graph.adjacency) for j in row
         )
         expected = len(nx.bipartite.hopcroft_karp_matching(g, top_nodes=top)) // 2
-        match = max_matching(graph.adjacency, graph.right_count)
+        match = grown(graph.adjacency, graph.right_count)
         assert len(match) == expected, trial
         assert len({j for _, j in match.pairs}) == len(match)
         assert all(graph.has_edge(i, j) for i, j in match.pairs)
@@ -256,21 +270,6 @@ def arbitrary_matching(rng, adjacency, right_count):
     return pairs
 
 
-def grown(adjacency, right_count, start):
-    """The matching `_augment` grows from `start` (left -> right, or -1),
-    on copies: its size must count the pairs and `owner` invert `mate`."""
-    mate = list(start)
-    owner = [-1] * right_count
-    for i, j in enumerate(mate):
-        if j >= 0:
-            owner[j] = i
-    size = _augment(adjacency, mate, owner)
-    pairs = tuple((i, j) for i, j in enumerate(mate) if j >= 0)
-    assert size == len(pairs) == right_count - owner.count(-1)
-    assert all(owner[j] == i for i, j in pairs)
-    return Matching(pairs=pairs)
-
-
 def test_max_matching_from_a_start_reaches_the_maximum_size():
     rng = random.Random(53)
     seen = dict.fromkeys(
@@ -283,7 +282,7 @@ def test_max_matching_from_a_start_reaches_the_maximum_size():
         adjacency = tuple(
             tuple(j for j in range(right) if rng.random() < density) for _ in range(left)
         )
-        best = max_matching(adjacency, right)
+        best = grown(adjacency, right)
         seen["perfect" if len(best) == left == right else "not perfect"] += 1
         # a sub-matching of a maximum matching or of an arbitrary one
         base = best.pairs if trial % 3 else arbitrary_matching(rng, adjacency, right)
@@ -325,7 +324,7 @@ def test_max_matching_keeps_the_start_pairs_no_augmenting_path_needs():
         a = [[j for j in range(a_right) if rng.random() < density] for _ in range(a_left)]
         b = [[j for j in range(b_right) if rng.random() < density] for _ in range(b_left)]
         b_start = [-1] * b_left
-        for i, j in max_matching(b, b_right).pairs:
+        for i, j in grown(b, b_right).pairs:
             b_start[i] = a_right + j
         a_start = [-1] * a_left
         for i, j in arbitrary_matching(rng, a, a_right):
@@ -335,19 +334,19 @@ def test_max_matching_keeps_the_start_pairs_no_augmenting_path_needs():
         start = a_start + b_start
         got = grown(adjacency, a_right + b_right, start).left_map()
         assert all(got.get(a_left + i) == j for i, j in enumerate(b_start) if j >= 0), trial
-        assert len(got) == len(max_matching(adjacency, a_right + b_right)), trial
+        assert len(got) == len(grown(adjacency, a_right + b_right)), trial
 
 
 def test_max_matching_rejects_a_column_outside_its_right_side():
     # unchecked, -1 would read owner[-1], the last right vertex's owner,
     # and 5 would index past the end of owner
     with pytest.raises(ValueError, match="row 0 lists -1"):
-        max_matching([[-1]], 1)
+        max_matching([[-1]], [-1], [-1])
     with pytest.raises(ValueError, match="row 0 lists -1"):
-        max_matching([[0, -1], [0]], 2)
+        max_matching([[0, -1], [0]], [-1, -1], [-1, -1])
     with pytest.raises(ValueError, match="row 0 lists 5, not a right vertex below 2"):
-        max_matching([[5]], 2)
-    assert max_matching([[0, 1], [0]], 2).pairs == ((0, 1), (1, 0))
+        max_matching([[5]], [-1], [-1, -1])
+    assert grown([[0, 1], [0]], 2).pairs == ((0, 1), (1, 0))
 
 
 # ---------------------------------------------------------------------------
@@ -580,11 +579,11 @@ def test_tie_heavy_assignment_agrees_with_networkx(monkeypatch):
     covered = []
 
     def recording(adjacency, mate, owner):
-        size = _augment(adjacency, mate, owner)
+        size = max_matching(adjacency, mate, owner)
         covered.append(size / len(adjacency))
         return size
 
-    monkeypatch.setattr(matching, "_augment", recording)
+    monkeypatch.setattr(matching, "max_matching", recording)
     rng = random.Random(59)
     solved = 0
     for trial in range(48):
@@ -1204,7 +1203,7 @@ def test_bvn_random_exact_reconstruction():
 
 def dense_rational_bvn(matrix):
     """The decomposition on a dense matrix of rationals, one support graph
-    per round, each round's matching grown by `_augment` from the last
+    per round, each round's matching grown by `max_matching` from the last
     round's permutation minus the entries it zeroed: the reference the
     scaled sparse version must reproduce."""
     p = len(matrix)
@@ -1344,7 +1343,7 @@ def graph_rows_allocation(inst):
     ]
     assert list(map(sorted, rows)) == list(map(list, graph.adjacency))
     order = sorted(range(len(rows)), key=lambda s: len(rows[s]))
-    match = max_matching([rows[s] for s in order], inst.m)
+    match = grown([rows[s] for s in order], inst.m)
     # chores cover every chore, goods every slot
     assert len(match) == (inst.m if inst.kind == "chores" else graph.left_count)
     bundles = [set() for _ in range(inst.n)]

@@ -472,11 +472,11 @@ def test_grouped_searches_scan_at_most_half_of_the_ungrouped_kernel(monkeypatch)
             got = tuple.__getitem__(self, key)
             return Counted(got) if isinstance(key, slice) else got
 
-    augment = matching._augment
+    max_matching = matching.max_matching
     starts = [0]
 
     def tight_start(adjacency, mate, owner):
-        size = augment(adjacency, mate, owner)
+        size = max_matching(adjacency, mate, owner)
         scanned[0] = 0
         starts[0] += 1
         return size
@@ -492,7 +492,7 @@ def test_grouped_searches_scan_at_most_half_of_the_ungrouped_kernel(monkeypatch)
         counts["ungrouped"] = scanned[0]
         return match
 
-    monkeypatch.setattr(matching, "_augment", tight_start)
+    monkeypatch.setattr(matching, "max_matching", tight_start)
     monkeypatch.setattr(fairmatch.optimize, "assignment_min_cost", both)
     inst = generate_instance(20, 100, "goods", 43)
     optimize_allocation(inst, CostSpec.scaled(benchmark_costs(20, 100), MAXIMIZE))
